@@ -17,7 +17,6 @@ from .derivations import (
     iterate_dkx,
     jacobian,
     p_matrix,
-    p_matrix_recursive,
     primitive_dx,
 )
 from .exactpoly import (
@@ -56,7 +55,6 @@ __all__ = [
     "jacobian",
     "mat_det_adj",
     "p_matrix",
-    "p_matrix_recursive",
     "primitive_dx",
     "run_verification",
     "symmetric_polys",

@@ -19,6 +19,7 @@ exactly (p/q), never as decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -48,8 +49,12 @@ def _render_derivation(mat: Matrix, j: int) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            raise SystemExit(2)
     else:
         sys.stdout.write(text)
 
@@ -236,6 +241,20 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type for integers >= low; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multider",
@@ -255,19 +274,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="compute the basis matrix P_m")
     common(p)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_at_least(0), required=True)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("verify", help="run certification checks")
     common(p)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_at_least(0), required=True)
     p.add_argument("--checks", default="all",
                    help="comma list from: " + ", ".join(CHECK_NAMES) + " (or all)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bmatrix", help="compute the invariant matrix B^(k)")
     common(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_at_least(1), required=True)
     p.add_argument("--route", choices=("definition", "closed-form", "both"),
                    default="definition")
     p.set_defaults(func=cmd_bmatrix)
@@ -283,8 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CatalogError as err:

@@ -12,15 +12,18 @@ From these the module constructs:
 * ``p_matrix``: the l x l polynomial matrix whose columns are the
   coefficient vectors of a free basis of the module D^(m) of derivations
   theta with theta(alpha_H) divisible by alpha_H^m for every hyperplane.
-  With k = floor(m/2) it is Gram * J(D^k x)^{-1} for even m, times J(f)
-  for odd m.  Columns are homogeneous of degree k*h (even m) or
-  k*h + m_j (odd m).
+  It is built by induction: P_0 = Gram, P_m = P_{m-1} J(f) for odd m, and
+  P_m = -P_{m-1} (B^(m/2))^{-1} P_1^T for positive even m, with B^(m/2) in
+  closed form, so only constant-determinant matrices are ever inverted.
+  Each even step is certified against the paper's direct formula
+  P_{2k} = Gram J(D^k x)^{-1} by the exact product P_{2k} J(D^k x) = Gram
+  (``certify_direct_formula``).  Odd m needs no identity of its own:
+  Gram J(D^k x)^{-1} J(f) = P_{2k} J(f) is the odd step itself.  Columns
+  are homogeneous of degree k*h (even m) or k*h + m_j (odd m), k = m // 2.
 
-* ``p_matrix_recursive``: the same matrix through the inductive rule
-  P_0 = Gram, P_m = P_{m-1} J(f) for odd m, and
-  P_m = -P_{m-1} (B^(m/2))^{-1} P_1^T for positive even m.  The route is
-  independent of the direct one (it never inverts J(D^k x) for k >= 1),
-  which makes agreement of the two a meaningful certificate.
+* ``jdkx_inverse`` and ``jdkx_det_constant``: J(D^k x)^{-1} = Gram^{-1}
+  P_{2k} and det J(D^k x) * Q^(2k) = det Gram / (det P_{2k} / Q^(2k)),
+  both consequences of the certified product identity.
 
 * ``b_matrix``: the invariant matrix
   B^(k) = -J(f)^T Gram J(D^k x) J(D^{k-1} x)^{-1} J(f), by that definition
@@ -44,9 +47,10 @@ from .exactpoly import (
     ArrFrac,
     Matrix,
     Poly,
-    expand_factor_powers,
     is_constant_multiple,
     mat_det_adj,
+    rat_det,
+    rat_mat_inv,
 )
 
 __all__ = [
@@ -58,11 +62,10 @@ __all__ = [
     "apply_derivation",
     "iterate_dkx",
     "jdkx",
-    "jdkx_det",
     "jdkx_det_constant",
     "jdkx_inverse",
     "p_matrix",
-    "p_matrix_recursive",
+    "certify_direct_formula",
     "b_matrix",
     "clear_caches",
 ]
@@ -75,15 +78,12 @@ class PipelineError(RuntimeError):
 _dx_cache: dict[str, tuple[ArrFrac, ...]] = {}
 _dkx_cache: dict[tuple[str, int], tuple[ArrFrac, ...]] = {}
 _jdkx_cache: dict[tuple[str, int], Matrix] = {}
-_jdkx_det_adj_cache: dict[tuple[str, int], tuple[ArrFrac, Matrix]] = {}
-_jdkx_inv_cache: dict[tuple[str, int], Matrix] = {}
 _pm_cache: dict[tuple[str, int], "DerivationBasis"] = {}
 _b_cache: dict[tuple[str, int, str], "BMatrix"] = {}
 
 
 def clear_caches() -> None:
-    for cache in (_dx_cache, _dkx_cache, _jdkx_cache, _jdkx_det_adj_cache,
-                  _jdkx_inv_cache, _pm_cache, _b_cache):
+    for cache in (_dx_cache, _dkx_cache, _jdkx_cache, _pm_cache, _b_cache):
         cache.clear()
 
 
@@ -182,58 +182,6 @@ def jdkx(system: CoxeterSystem, k: int) -> Matrix:
     return cached
 
 
-def _jdkx_det_adj(system: CoxeterSystem, k: int) -> tuple[ArrFrac, Matrix]:
-    cached = _jdkx_det_adj_cache.get((system.key, k))
-    if cached is None:
-        cached = mat_det_adj(jdkx(system, k))
-        _jdkx_det_adj_cache[(system.key, k)] = cached
-    return cached
-
-
-def jdkx_det(system: CoxeterSystem, k: int) -> ArrFrac:
-    return _jdkx_det_adj(system, k)[0]
-
-
-def jdkx_det_constant(system: CoxeterSystem, k: int) -> Fraction:
-    """The constant det J(D^k x) * Q^(2k), certified to be one."""
-    det = jdkx_det(system, k)
-    cleared = det * system.q_poly ** (2 * k)
-    if not cleared.is_polynomial() or not cleared.num.is_constant():
-        raise PipelineError(
-            f"{system.key}: det J(D^{k} x) * Q^{2 * k} is not constant: {cleared}"
-        )
-    c = cleared.num.constant_value()
-    if c == 0:
-        raise PipelineError(f"{system.key}: J(D^{k} x) is singular")
-    return c
-
-
-def _div_by_constant_det(entry: ArrFrac, det: ArrFrac, nvars: int) -> ArrFrac:
-    """entry / det for a det whose numerator is a nonzero constant."""
-    c = det.num.constant_value()
-    up = {f: e - entry.den.get(f, 0) for f, e in det.den.items() if e - entry.den.get(f, 0) > 0}
-    down = {f: e - det.den.get(f, 0) for f, e in entry.den.items() if e - det.den.get(f, 0) > 0}
-    num = entry.num * (1 / c)
-    if up:
-        num = num * expand_factor_powers(nvars, up)
-    return ArrFrac(num, down)
-
-
-def jdkx_inverse(system: CoxeterSystem, k: int) -> Matrix:
-    """J(D^k x)^{-1} via adjugate over determinant (entries come out polynomial)."""
-    cached = _jdkx_inv_cache.get((system.key, k))
-    if cached is not None:
-        return cached
-    if k == 0:
-        inv = Matrix.identity(system.rank, system.rank, frac=True)
-    else:
-        jdkx_det_constant(system, k)  # certifies invertibility and pole shape
-        det, adj = _jdkx_det_adj(system, k)
-        inv = adj.map(lambda e: _div_by_constant_det(e, det, system.rank))
-    _jdkx_inv_cache[(system.key, k)] = inv
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # the multiderivation basis matrices P_m
 # ---------------------------------------------------------------------------
@@ -273,7 +221,11 @@ def _validate_columns(system: CoxeterSystem, m: int, mat: Matrix) -> tuple[int, 
 
 
 def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
-    """Direct construction: Gram * J(D^k x)^{-1}, times J(f) for odd m."""
+    """P_m by induction through the closed-form invariant matrices B^(k).
+
+    Every even step is certified against the direct formula, so a mistake
+    anywhere in the chain raises PipelineError.
+    """
     if m < 0:
         raise ValueError("m must be nonnegative")
     cached = _pm_cache.get((system.key, m))
@@ -282,56 +234,62 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
     k = m // 2
     if m == 0:
         mat = system.gram_matrix()
+    elif m % 2 == 1:
+        mat = p_matrix(system, m - 1).matrix @ system.jacobian_of_invariants()
     else:
-        work = system.gram_matrix(frac=True) @ jdkx_inverse(system, k)
-        if m % 2 == 1:
-            work = work @ system.jacobian_of_invariants().to_frac()
-        rows = []
-        for i in range(system.rank):
-            row = []
-            for j in range(system.rank):
-                e = work[i][j]
-                if not e.is_polynomial():
-                    raise PipelineError(
-                        f"{system.key}: entry ({i + 1},{j + 1}) of P_{m} did not "
-                        f"clear its denominator: {e}"
-                    )
-                row.append(e.as_poly())
-            rows.append(row)
-        mat = Matrix(rows)
+        det_b, adj_b = mat_det_adj(b_matrix(system, k, route="closed_form").matrix)
+        if not det_b.is_constant():
+            raise PipelineError(f"{system.key}: det B^({k}) is not constant: {det_b}")
+        c = det_b.constant_value()
+        if c == 0:
+            raise PipelineError(f"{system.key}: B^({k}) is singular")
+        inv_b = adj_b.map(lambda p: p * (1 / c))
+        p1 = p_matrix(system, 1).matrix
+        mat = -(p_matrix(system, m - 1).matrix @ inv_b @ p1.transpose())
+        certify_direct_formula(system, k, mat)
     degrees = _validate_columns(system, m, mat)
     basis = DerivationBasis(system.key, m, k, mat, degrees)
     _pm_cache[(system.key, m)] = basis
     return basis
 
 
-def p_matrix_recursive(system: CoxeterSystem, m: int) -> DerivationBasis:
-    """Inductive construction through the invariant matrices B^(k).
+# ``perfbench/tracer.py`` looks this name up; the inductive route is now the
+# only one, so it is ``p_matrix`` itself.
+p_matrix_recursive = p_matrix
 
-    Shares nothing with the direct route beyond J(f), the Gram matrix and
-    J(D x) (inside B^(1)); in particular J(D^k x) is never inverted here.
+
+def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> None:
+    """Check P_{2k} J(D^k x) = Gram exactly, i.e. P_{2k} = Gram J(D^k x)^{-1}
+    (J(D^k x) is invertible), without inverting J(D^k x).
+
+    Raises PipelineError naming the first entry of the product that differs.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0:
-        mat = system.gram_matrix()
-    elif m % 2 == 1:
-        mat = p_matrix_recursive(system, m - 1).matrix @ system.jacobian_of_invariants()
-    else:
-        b = b_matrix(system, m // 2, route="closed_form")
-        det_b, adj_b = mat_det_adj(b.matrix)
-        if not det_b.is_constant():
+    product = p_even.to_frac() @ jdkx(system, k)
+    gram = system.gram_matrix(frac=True)
+    for i, j, entry in product.entries():
+        if entry != gram[i][j]:
             raise PipelineError(
-                f"{system.key}: det B^({m // 2}) is not constant: {det_b}"
+                f"{system.key}: entry ({i + 1},{j + 1}) of P_{2 * k} J(D^{k} x) "
+                f"is {entry}, expected {gram[i][j]}"
             )
-        c = det_b.constant_value()
-        if c == 0:
-            raise PipelineError(f"{system.key}: B^({m // 2}) is singular")
-        inv_b = adj_b.map(lambda p: p * (1 / c))
-        p1 = system.gram_matrix() @ system.jacobian_of_invariants()
-        mat = -(p_matrix_recursive(system, m - 1).matrix @ inv_b @ p1.transpose())
-    degrees = _validate_columns(system, m, mat)
-    return DerivationBasis(system.key, m, m // 2, mat, degrees)
+
+
+def jdkx_inverse(system: CoxeterSystem, k: int) -> Matrix:
+    """J(D^k x)^{-1} = Gram^{-1} P_{2k}; polynomial entries, as fractions."""
+    gram_inv = Matrix.from_rational(rat_mat_inv(system.gram), system.rank, frac=True)
+    return gram_inv @ p_matrix(system, 2 * k).matrix.to_frac()
+
+
+def jdkx_det_constant(system: CoxeterSystem, k: int) -> Fraction:
+    """The constant det J(D^k x) * Q^(2k) = det Gram / (det P_{2k} / Q^(2k))."""
+    det_p, _ = mat_det_adj(p_matrix(system, 2 * k).matrix, det_only=True)
+    c = is_constant_multiple(det_p, system.q_poly ** (2 * k))
+    if not c:
+        raise PipelineError(
+            f"{system.key}: det P_{2 * k} is not a nonzero constant multiple of "
+            f"Q^{2 * k}: {det_p}"
+        )
+    return rat_det(system.gram) / c
 
 
 # ---------------------------------------------------------------------------

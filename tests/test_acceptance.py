@@ -17,9 +17,9 @@ from multider.coxeter import get_system, symmetric_polys
 from multider.derivations import (
     b_matrix,
     clear_caches,
+    jdkx,
     jdkx_det_constant,
     p_matrix,
-    p_matrix_recursive,
 )
 from multider.exactpoly import is_constant_multiple
 from multider.verify import (
@@ -29,6 +29,7 @@ from multider.verify import (
     verify_jdg_identities,
     verify_membership,
     verify_nesting,
+    verify_recursion,
     verify_ziegler,
 )
 
@@ -160,12 +161,20 @@ def test_criterion_05_type_b_b1_formula():
 def test_criterion_06_recursion_matches_direct():
     crit = _Criterion(6, "inductive P_m equals direct P_m, m <= 5")
 
+    # P_{2k} J(D^k x) = Gram holds iff P_{2k} = Gram J(D^k x)^{-1}, since
+    # J(D^k x) is invertible; odd m is then P_{2k} J(f) on both routes.
     def body():
         for key in SYSTEMS:
             s = get_system(key)
+            gram = s.gram_matrix(frac=True)
             for m in range(6):
-                assert (p_matrix_recursive(s, m).matrix
-                        == p_matrix(s, m).matrix), (key, m)
+                assert verify_recursion(s, m).status == "pass", (key, m)
+                k = m // 2
+                p_even = p_matrix(s, 2 * k).matrix
+                assert p_even.to_frac() @ jdkx(s, k) == gram, (key, m)
+                if m % 2:
+                    assert (p_matrix(s, m).matrix
+                            == p_even @ s.jacobian_of_invariants()), (key, m)
 
     _run(crit, body)
 

@@ -28,6 +28,18 @@ def test_unsupported_rank_exits_2(capsys):
     assert code == 2
 
 
+def test_negative_m_exits_2(capsys):
+    code, out, err = run_cli(["basis", "B2", "--m", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert "argument --m: must be at least 0" in err and "Traceback" not in err
+
+
+def test_nonpositive_k_exits_2(capsys):
+    code, out, err = run_cli(["bmatrix", "B2", "--k", "0"], capsys)
+    assert code == 2 and out == ""
+    assert "argument --k: must be at least 1" in err and "Traceback" not in err
+
+
 def test_limit_exceeded_exits_3(capsys):
     code, _, err = run_cli(["basis", "B9", "--m", "1"], capsys)
     assert code == 3 and "limit" in err
@@ -152,6 +164,15 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text())
     assert payload["system"] == "B2"
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        ["basis", "B2", "--m", "1", "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_timings_flag_changes_bytes_only_when_set(capsys):

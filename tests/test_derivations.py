@@ -19,10 +19,10 @@ from multider.derivations import (
     jdkx,
     jdkx_det_constant,
     p_matrix,
-    p_matrix_recursive,
     primitive_dx,
 )
 from multider.exactpoly import ArrFrac, Matrix, Poly, is_constant_multiple
+from multider.verify import verify_recursion
 
 x1 = Poly.variable(2, 0)
 x2 = Poly.variable(2, 1)
@@ -170,17 +170,33 @@ def test_d4_even_column_degrees():
     assert b.degrees == (6, 6, 6, 6)
 
 
+def direct_formula_holds(s, m):
+    """P_m = Gram J(D^k x)^{-1} (times J(f) for odd m), k = m // 2, checked as
+    P_{2k} J(D^k x) = Gram and P_m = P_{2k} J(f); J(D^k x) is invertible, so
+    this is equivalent to comparing with the inverted formula."""
+    k = m // 2
+    p_even = p_matrix(s, 2 * k).matrix
+    if p_even.to_frac() @ jdkx(s, k) != s.gram_matrix(frac=True):
+        return False
+    return m % 2 == 0 or p_matrix(s, m).matrix == p_even @ s.jacobian_of_invariants()
+
+
 @pytest.mark.parametrize("key", ["B2", "A2", "I2(5)"])
 def test_recursive_equals_direct(key):
     s = get_system(key)
     for m in range(6):
-        assert p_matrix_recursive(s, m).matrix == p_matrix(s, m).matrix
+        assert verify_recursion(s, m).status == "pass", m
+        assert direct_formula_holds(s, m), m
 
 
 def test_recursive_odd_rule():
     s = get_system("B3")
-    p1 = p_matrix_recursive(s, 1)
+    p1 = p_matrix(s, 1)
     assert p1.matrix == s.gram_matrix() @ s.jacobian_of_invariants()
+    for m in (1, 3):
+        assert p_matrix(s, m).matrix == p_matrix(s, m - 1).matrix @ s.jacobian_of_invariants()
+        assert verify_recursion(s, m).status == "pass", m
+        assert direct_formula_holds(s, m), m
 
 
 def test_b1_type_b_formula():

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from multider import derivations
 from multider.coxeter import get_system
 from multider.derivations import DerivationBasis, p_matrix
 from multider.exactpoly import Matrix, Poly
@@ -166,6 +167,28 @@ def test_equivariance_a2_general_generator():
 def test_recursion_check():
     s = get_system("B2")
     assert verify_recursion(s, 4).status == "pass"
+
+
+def test_recursion_check_fails_on_perturbed_jdkx(monkeypatch):
+    # negative control: a wrong J(D^2 x) must break the product identity,
+    # even when P_4 is already memoised
+    s = get_system("B2")
+    real = derivations.jdkx
+
+    def perturbed(system, k):
+        mat = real(system, k)
+        if k != 2:
+            return mat
+        rows = [[mat[i][j] for j in range(mat.cols)] for i in range(mat.rows)]
+        assert rows[0][0]
+        rows[0][0] = rows[0][0] * 2
+        return Matrix(rows)
+
+    monkeypatch.setattr(derivations, "jdkx", perturbed)
+    rec = verify_recursion(s, 4)
+    assert rec.status == "fail"
+    assert rec.detail == {"m": 4}
+    assert "entry (1,1) of P_4 J(D^2 x)" in rec.witness["reason"]
 
 
 def test_nesting_b2_b3():
