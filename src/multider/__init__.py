@@ -7,7 +7,7 @@ membership, degree tables, equivariance, the invariant B-matrices and
 their recursions) in exact rational arithmetic.
 """
 
-from .coxeter import CoxeterSystem, build_system, defining_poly, get_system, symmetric_polys
+from .coxeter import CoxeterSystem, build_system, get_system, symmetric_polys
 from .derivations import (
     BMatrix,
     DerivationBasis,
@@ -21,7 +21,6 @@ from .derivations import (
 )
 from .exactpoly import (
     ArrFrac,
-    LinForm,
     Matrix,
     Poly,
     UnsupportedDenominator,
@@ -38,7 +37,6 @@ __all__ = [
     "BMatrix",
     "CoxeterSystem",
     "DerivationBasis",
-    "LinForm",
     "Matrix",
     "PipelineError",
     "Poly",
@@ -47,7 +45,6 @@ __all__ = [
     "apply_derivation",
     "b_matrix",
     "build_system",
-    "defining_poly",
     "divide_exact",
     "get_system",
     "is_constant_multiple",

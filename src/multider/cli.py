@@ -7,8 +7,9 @@
     multider catalog           [--format json|text]
 
 Exit codes: 0 success (and, for verify/selftest, every check passed),
-1 a check failed, 2 unknown or unsupported system key / usage error,
-3 a resource limit was exceeded without --override-limits.
+1 a check failed or an internal error (PipelineError, UnsupportedDenominator),
+2 unknown or unsupported system key / usage error, 3 a resource limit was
+exceeded without --override-limits.
 
 Output is byte-deterministic for a fixed command line: term order, map
 order and catalog data are all fixed.  Timings are therefore only included
@@ -25,9 +26,9 @@ import sys
 
 from .coxeter import CatalogError, build_system, catalog_entries, parse_key
 from .derivations import PipelineError, b_matrix, p_matrix
-from .exactpoly import Matrix, poly_to_records
+from .exactpoly import Matrix, UnsupportedDenominator, poly_to_records
 from .golden import run_selftest
-from .verify import CHECK_NAMES, run_verification, verify_ziegler
+from .verify import CHECK_NAMES, resolve_checks, run_verification, verify_ziegler
 
 MAX_M = 8
 MAX_RANK = 5
@@ -106,11 +107,7 @@ def _report_text(report, include_timings: bool) -> str:
 
 def cmd_basis(args) -> int:
     system = _load_system(args, m=args.m)
-    try:
-        basis = p_matrix(system, args.m)
-    except PipelineError as err:
-        print(f"internal error: {err}", file=sys.stderr)
-        return 1
+    basis = p_matrix(system, args.m)
     ziegler = verify_ziegler(system, basis)
     det_constant = ziegler.detail.get("constant")
     meta = {
@@ -144,13 +141,14 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    system = _load_system(args, m=args.m)
     checks = tuple(s.strip() for s in args.checks.split(",")) if args.checks else ("all",)
     try:
-        report = run_verification(system, args.m, checks)
+        resolve_checks(checks)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    system = _load_system(args, m=args.m)
+    report = run_verification(system, args.m, checks)
     if args.format == "json":
         payload = {
             "system": system.key,
@@ -169,11 +167,7 @@ def cmd_bmatrix(args) -> int:
     routes = ("definition", "closed_form") if args.route == "both" else (
         args.route.replace("-", "_"),
     )
-    try:
-        results = {route: b_matrix(system, args.k, route=route) for route in routes}
-    except PipelineError as err:
-        print(f"internal error: {err}", file=sys.stderr)
-        return 1
+    results = {route: b_matrix(system, args.k, route=route) for route in routes}
     agree = None
     if len(results) == 2:
         agree = results["definition"].matrix == results["closed_form"].matrix
@@ -307,6 +301,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except CatalogError as err:
         print(f"catalog integrity error: {err}", file=sys.stderr)
+        return 1
+    except (PipelineError, UnsupportedDenominator) as err:
+        # an identity the construction guarantees failed: a bug, not a usage error
+        print(f"internal error: {err}", file=sys.stderr)
         return 1
 
 

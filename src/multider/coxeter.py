@@ -47,10 +47,10 @@ import re
 from fractions import Fraction
 
 from .exactpoly import (
-    LinForm,
     Matrix,
     Poly,
     canonical_factor,
+    divide_exact,
     is_constant_multiple,
     mat_det_adj,
     rat_det,
@@ -64,8 +64,6 @@ __all__ = [
     "build_system",
     "get_system",
     "parse_key",
-    "defining_poly",
-    "QPoly",
     "symmetric_polys",
     "catalog_entries",
 ]
@@ -84,7 +82,6 @@ class CoxeterSystem:
         "rank",
         "order_param",
         "factors",
-        "lin_forms",
         "invariants",
         "exponents",
         "h",
@@ -102,10 +99,6 @@ class CoxeterSystem:
         self.rank = rank
         self.order_param = order_param
         self.factors = tuple(sorted_factors(factors))
-        self.lin_forms = tuple(
-            sorted(LinForm([f.coefficient(_unit(rank, j)) for j in range(rank)])
-                   for f in self.factors if f.degree() == 1)
-        )
         self.invariants = tuple(invariants)
         self.exponents = tuple(exponents)
         self.h = self.exponents[-1] + 1
@@ -154,20 +147,6 @@ class CoxeterSystem:
 
     def __repr__(self) -> str:
         return f"CoxeterSystem({self.key})"
-
-
-class QPoly:
-    """Defining polynomial together with its irreducible factor list."""
-
-    __slots__ = ("poly", "factors")
-
-    def __init__(self, poly: Poly, factors):
-        self.poly = poly
-        self.factors = tuple(factors)
-
-
-def _unit(n, j):
-    return tuple(1 if i == j else 0 for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -324,38 +303,59 @@ def _dihedral_re_im(m: int) -> tuple[Poly, Poly]:
     return Poly(2, re_terms), Poly(2, im_terms)
 
 
-def _rational_irreducible_factors(p: Poly) -> list[Poly]:
-    """Irreducible factors over Q of a bivariate polynomial (via sympy)."""
-    import sympy
+def _exact_quotient(num: Poly, divisors) -> Poly:
+    for div in divisors:
+        quotient = divide_exact(num, div)
+        if quotient is None:
+            raise CatalogError(f"cyclotomic factor {div} does not divide {num}")
+        num = quotient
+    return num
 
-    a, b = sympy.symbols("a b")
-    expr = sympy.Integer(0)
-    for exps, c in p.items():
-        expr += sympy.Rational(c.numerator, c.denominator) * a ** exps[0] * b ** exps[1]
-    _, factor_list = sympy.factor_list(sympy.Poly(expr, a, b))
+
+def _rational_irreducible_factors(m: int) -> list[Poly]:
+    """Irreducible factors over Q of Im((x1 + i x2)^m), by cyclotomic grouping.
+
+    With t = x1/x2, the mirror lines other than x2 = 0 are the roots of
+    L_m(t) = ((t+i)^m - (t-i)^m)/2i, i.e. the t with w = (t+i)/(t-i) an m-th
+    root of unity other than 1.  Grouping them by the order d of w, for
+    d | m, gives the factors G_d = L_d / prod_{e | d, e < d} G_e of degree
+    phi(d); homogenised, Im((x1 + i x2)^d) = prod_{e | d} G_e with G_1 = x2.
+    When 4 | d, G_d splits by the value of w^(d/4) (i or -i) into A_d B_d,
+    where A_d is (1+i)((t+i)^(d/4) - i(t-i)^(d/4)) = 2 (Re - Im)(t+i)^(d/4)
+    divided by A_e (d/e = 1 mod 4) or B_e (d/e = 3 mod 4) for every e < d
+    with 4 | e and d/e odd.  Every quotient is checked to be exact.
+    """
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    g: dict[int, Poly] = {}
+    a: dict[int, Poly] = {}
+    b: dict[int, Poly] = {}
     out = []
-    for fac, mult in factor_list:
-        if mult != 1:
-            raise CatalogError(f"unexpected repeated factor in defining polynomial: {fac}")
-        fp = sympy.Poly(fac, a, b)
-        terms = {
-            (int(e1), int(e2)): Fraction(int(coeff.p), int(coeff.q))
-            for (e1, e2), coeff in fp.terms()
-        }
-        out.append(canonical_factor(Poly(2, terms))[0])
-    return out
+    for d in divisors:
+        g[d] = _exact_quotient(_dihedral_re_im(d)[1],
+                               [g[e] for e in g if d % e == 0])
+        if d % 4:
+            out.append(g[d])
+            continue
+        re_n, im_n = _dihedral_re_im(d // 4)
+        a[d] = _exact_quotient(re_n - im_n, [
+            a[e] if (d // e) % 4 == 1 else b[e]
+            for e in a if d % e == 0 and (d // e) % 2 == 1
+        ])
+        b[d] = _exact_quotient(g[d], [a[d]])
+        out += [a[d], b[d]]
+    return [canonical_factor(f)[0] for f in out]
 
 
 def _build_i2(m: int) -> CoxeterSystem:
     if m < 3:
         raise ValueError("I2(m) needs m >= 3")
-    re_m, im_m = _dihedral_re_im(m)
+    re_m = _dihedral_re_im(m)[0]
     x1 = Poly.variable(2, 0)
     x2 = Poly.variable(2, 1)
     f1 = (x1**2 + x2**2) * Fraction(1, 2)
     invariants = [f1, re_m]
     exponents = [1, m - 1]
-    factors = _rational_irreducible_factors(im_m)
+    factors = _rational_irreducible_factors(m)
     gram = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     generators = [[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]]
     if m % 2 == 0:
@@ -469,15 +469,6 @@ def parse_key(key: str) -> tuple[str, int, int | None]:
 def get_system(key: str) -> CoxeterSystem:
     family, rank, order = parse_key(key)
     return build_system(family, rank, order)
-
-
-def defining_poly(system: CoxeterSystem) -> QPoly:
-    """Q as the product of the stored irreducible hyperplane factors.
-
-    The identity det J(f) = const * Q was already asserted when the entry
-    was built; a failure there surfaces as CatalogError.
-    """
-    return QPoly(system.q_poly, system.factors)
 
 
 def catalog_entries(max_rank: int = 5, dihedral_orders=(3, 4, 5, 6, 7, 8)) -> list[CoxeterSystem]:

@@ -280,15 +280,23 @@ def jdkx_inverse(system: CoxeterSystem, k: int) -> Matrix:
     return gram_inv @ p_matrix(system, 2 * k).matrix.to_frac()
 
 
-def jdkx_det_constant(system: CoxeterSystem, k: int) -> Fraction:
-    """The constant det J(D^k x) * Q^(2k) = det Gram / (det P_{2k} / Q^(2k))."""
-    det_p, _ = mat_det_adj(p_matrix(system, 2 * k).matrix, det_only=True)
-    c = is_constant_multiple(det_p, system.q_poly ** (2 * k))
-    if not c:
-        raise PipelineError(
-            f"{system.key}: det P_{2 * k} is not a nonzero constant multiple of "
-            f"Q^{2 * k}: {det_p}"
-        )
+def jdkx_det_constant(system: CoxeterSystem, k: int,
+                      p_constant: Fraction | None = None) -> Fraction:
+    """The constant det J(D^k x) * Q^(2k) = det Gram / (det P_{2k} / Q^(2k)).
+
+    A caller that already certified det P_{2k} = c * Q^(2k) for the memoised
+    P_{2k} (the Ziegler constant) passes c as ``p_constant``, which saves
+    a second determinant of the same matrix.
+    """
+    c = p_constant
+    if c is None:
+        det_p, _ = mat_det_adj(p_matrix(system, 2 * k).matrix, det_only=True)
+        c = is_constant_multiple(det_p, system.q_poly ** (2 * k))
+        if not c:
+            raise PipelineError(
+                f"{system.key}: det P_{2 * k} is not a nonzero constant multiple of "
+                f"Q^{2 * k}: {det_p}"
+            )
     return rat_det(system.gram) / c
 
 

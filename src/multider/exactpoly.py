@@ -14,10 +14,6 @@ Representations:
   exactly the graded lexicographic order.  That gives deterministic
   leading terms and deterministic serialization for free.
 
-* ``LinForm``: a nonzero linear form normalised so that its first nonzero
-  coefficient is +1 (the canonical representative of a hyperplane's
-  defining form, which is otherwise only determined up to a scalar).
-
 * ``ArrFrac``: a rational function whose denominator is kept factored as
   a product of irreducible polynomials (linear forms for the classical
   arrangements, plus the few irreducible orbit factors of the dihedral
@@ -45,16 +41,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as _np
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - declared dependency
-    _mpz = int
-
 __all__ = [
     "Poly",
-    "LinForm",
     "ArrFrac",
     "Matrix",
     "UnsupportedDenominator",
@@ -65,9 +53,6 @@ __all__ = [
     "mat_det_adj",
     "poly_to_records",
     "poly_from_records",
-    "frac_to_records",
-    "frac_from_records",
-    "rat_identity",
     "rat_mat_mul",
     "rat_mat_inv",
     "rat_det",
@@ -448,7 +433,7 @@ class Poly:
             acc = acc + term
         return acc
 
-    # -- scaled integer form (internal, reused by multiplication paths) -------
+    # -- scaled integer form (internal, reused by multiplication and division)
 
     def _int_form(self) -> tuple[int, dict[int, int]]:
         """Coefficients as integers over one common denominator.
@@ -530,13 +515,6 @@ def _signed_permutation(matrix, n) -> list[tuple[int, int]] | None:
 # multiplication kernels
 # ---------------------------------------------------------------------------
 
-# Above this many coefficient products, multiplication switches from the
-# dict-of-packed-keys loop to Kronecker substitution over big integers.
-_KRON_MIN_OPS = 400_000
-
-
-_KRON_MAX_SLOTS = 4_000_000
-
 
 def _frac_dict(ints: dict[int, int], den: int) -> dict[int, Fraction]:
     """Fraction terms from an integer dict over a common denominator."""
@@ -563,117 +541,26 @@ def _reduce_int_form(den: int, ints: dict[int, int]) -> tuple[int, dict[int, int
     return den // g, {k: v // g for k, v in ints.items()}
 
 
-def _finish_product(nvars: int, den: int, raw: dict[int, int]) -> Poly:
-    ints = {k: v for k, v in raw.items() if v}
-    den, ints = _reduce_int_form(den, ints)
-    p = Poly._raw(nvars, _frac_dict(ints, den))
-    p._intform = (den, ints)
-    return p
-
-
 def _mul_poly(a: Poly, b: Poly) -> Poly:
-    ta, tb = a._t, b._t
-    if not ta or not tb:
+    if not a._t or not b._t:
         return Poly.zero(a.nvars)
-    if (
-        len(ta) * len(tb) >= _KRON_MIN_OPS
-        and a.nvars >= 2
-        and a.is_homogeneous()
-        and b.is_homogeneous()
-        and (a.degree() + b.degree() + 1) ** (a.nvars - 1) <= _KRON_MAX_SLOTS
-    ):
-        den, raw = _mul_kron(a, b)
-    else:
-        den, raw = _mul_dict(a, b)
-    return _finish_product(a.nvars, den, raw)
-
-
-def _mul_dict(a: Poly, b: Poly) -> tuple[int, dict[int, int]]:
     da, ia = a._int_form()
     db, ib = b._int_form()
     if len(ia) > len(ib):
         ia, ib = ib, ia
     items_b = list(ib.items())
-    out: dict[int, int] = {}
-    get = out.get
+    raw: dict[int, int] = {}
+    get = raw.get
     for ka, ca in ia.items():
         for kb, cb in items_b:
             k = ka + kb
             v = get(k)
-            out[k] = ca * cb if v is None else v + ca * cb
-    return da * db, out
-
-
-def _mul_kron(a: Poly, b: Poly) -> dict[int, Fraction]:
-    """Multiply two homogeneous polynomials via Kronecker substitution.
-
-    Both operands are packed into big integers (one byte-aligned digit per
-    monomial slot over the first nvars-1 variables; the last exponent is
-    implied by homogeneity), multiplied with gmpy2, and unpacked.  The
-    digit width is chosen from an a-priori bound on the result
-    coefficients, so no carries can occur and the result is exact.
-    """
-    n = a.nvars
-    shifts, deg_shift, _ = _layout(n)
-    da, ia = a._int_form()
-    db, ib = b._int_form()
-    dega = a.degree()
-    degb = b.degree()
-    total = dega + degb
-    base = total + 1
-    nslots = base ** (n - 1)
-    bound = (
-        max(abs(v) for v in ia.values())
-        * max(abs(v) for v in ib.values())
-        * min(len(ia), len(ib))
-    )
-    nbytes = (bound.bit_length() + 7) // 8 + 1
-
-    radix = [base**i for i in range(n - 1)]
-
-    def pack_signed(terms: dict[int, int]) -> tuple[int, int]:
-        pos = bytearray(nslots * nbytes)
-        neg = bytearray(nslots * nbytes)
-        for k, v in terms.items():
-            idx = 0
-            for i in range(n - 1):
-                idx += ((k >> shifts[i]) & _MASK) * radix[i]
-            off = idx * nbytes
-            buf = pos if v > 0 else neg
-            buf[off : off + nbytes] = abs(v).to_bytes(nbytes, "little")
-        return int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
-
-    ap, am = pack_signed(ia)
-    bp, bm = pack_signed(ib)
-    ap, am, bp, bm = _mpz(ap), _mpz(am), _mpz(bp), _mpz(bm)
-    pos_big = int(ap * bp + am * bm)
-    neg_big = int(ap * bm + am * bp)
-    size = nslots * nbytes
-    pos_bytes = pos_big.to_bytes(size, "little")
-    neg_bytes = neg_big.to_bytes(size, "little")
-
-    arr_p = _np.frombuffer(pos_bytes, dtype=_np.uint8).reshape(nslots, nbytes)
-    arr_n = _np.frombuffer(neg_bytes, dtype=_np.uint8).reshape(nslots, nbytes)
-    nonzero = _np.flatnonzero(arr_p.any(axis=1) | arr_n.any(axis=1))
-
-    out: dict[int, int] = {}
-    for idx in nonzero.tolist():
-        off = idx * nbytes
-        v = int.from_bytes(pos_bytes[off : off + nbytes], "little") - int.from_bytes(
-            neg_bytes[off : off + nbytes], "little"
-        )
-        if not v:
-            continue
-        key = total << deg_shift
-        rem = idx
-        esum = 0
-        for i in range(n - 1):
-            rem, e = divmod(rem, base)
-            key |= e << shifts[i]
-            esum += e
-        key |= (total - esum) << shifts[n - 1]
-        out[key] = v
-    return da * db, out
+            raw[k] = ca * cb if v is None else v + ca * cb
+    ints = {k: v for k, v in raw.items() if v}
+    den, ints = _reduce_int_form(da * db, ints)
+    p = Poly._raw(a.nvars, _frac_dict(ints, den))
+    p._intform = (den, ints)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -881,54 +768,6 @@ def canonical_factor(p: Poly) -> tuple[Poly, Fraction]:
         scale = -scale
     inv = 1 / scale
     return Poly._raw(p.nvars, {k: c * inv for k, c in p._t.items()}), scale
-
-
-class LinForm:
-    """A nonzero linear form, normalised so the first nonzero coefficient is +1."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Fraction | int]):
-        cs = [Fraction(c) for c in coeffs]
-        lead = next((c for c in cs if c), None)
-        if lead is None:
-            raise ValueError("linear form must be nonzero")
-        self.coeffs = tuple(c / lead for c in cs)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coeffs)
-
-    def poly(self) -> Poly:
-        n = len(self.coeffs)
-        shifts, deg_shift, _ = _layout(n)
-        return Poly._raw(
-            n,
-            {
-                (1 << shifts[i]) | (1 << deg_shift): c
-                for i, c in enumerate(self.coeffs)
-                if c
-            },
-        )
-
-    def factor(self) -> Poly:
-        """The canonical (integer-primitive) polynomial representative."""
-        return canonical_factor(self.poly())[0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinForm) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __lt__(self, other: "LinForm"):
-        return self.coeffs < other.coeffs
-
-    def __str__(self) -> str:
-        return str(self.poly())
-
-    def __repr__(self) -> str:
-        return f"LinForm({self})"
 
 
 def factor_sort_key(f: Poly):
@@ -1499,41 +1338,9 @@ def poly_from_records(records: Iterable[Mapping], nvars: int) -> Poly:
     return Poly(nvars, terms)
 
 
-def frac_to_records(a: ArrFrac) -> dict:
-    den = []
-    for f in sorted_factors(a.den):
-        e = a.den[f]
-        if f.degree() == 1:
-            coeffs = [str(f.coefficient(tuple(1 if i == j else 0 for i in range(f.nvars)))) for j in range(f.nvars)]
-            den.append({"form": coeffs, "exp": e})
-        else:
-            # irreducible orbit factor of a dihedral arrangement: not linear,
-            # so serialise the whole polynomial
-            den.append({"factor": poly_to_records(f), "exp": e})
-    return {"num": poly_to_records(a.num), "den": den}
-
-
-def frac_from_records(record: Mapping, nvars: int) -> ArrFrac:
-    num = poly_from_records(record["num"], nvars)
-    den: dict[Poly, int] = {}
-    for d in record.get("den", ()):
-        if "form" in d:
-            f = LinForm([Fraction(c) for c in d["form"]]).factor()
-        else:
-            f = poly_from_records(d["factor"], nvars)
-        den[f] = den.get(f, 0) + int(d["exp"])
-    return ArrFrac(num, den)
-
-
 # ---------------------------------------------------------------------------
 # small exact linear algebra over the rationals
 # ---------------------------------------------------------------------------
-
-
-def rat_identity(n: int):
-    return tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
-    )
 
 
 def rat_mat_mul(a, b):

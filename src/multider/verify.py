@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .coxeter import CoxeterSystem
 from .derivations import (
@@ -81,6 +82,7 @@ __all__ = [
     "verify_equivariance",
     "verify_recursion",
     "verify_nesting",
+    "resolve_checks",
     "run_verification",
 ]
 
@@ -226,10 +228,11 @@ def verify_degrees(system: CoxeterSystem, basis: DerivationBasis) -> CheckRecord
     )
 
 
-def verify_det_jdkx(system: CoxeterSystem, k: int) -> CheckRecord:
+def verify_det_jdkx(system: CoxeterSystem, k: int,
+                    p_constant: Fraction | None = None) -> CheckRecord:
     t0 = time.perf_counter()
     try:
-        c = jdkx_det_constant(system, k)
+        c = jdkx_det_constant(system, k, p_constant)
     except PipelineError as err:
         return _finish(
             CheckRecord("det-jdkx", "fail", {"k": k}, {"reason": str(err)}), t0
@@ -553,14 +556,20 @@ def verify_nesting(system: CoxeterSystem, m: int) -> CheckRecord:
 # ---------------------------------------------------------------------------
 
 
-def run_verification(system: CoxeterSystem, m: int,
-                     checks=("all",)) -> VerificationReport:
+def resolve_checks(checks) -> set[str]:
+    """The check names a request selects; ValueError names any unknown one."""
     wanted = set(checks)
     if "all" in wanted:
         wanted = set(CHECK_NAMES)
     unknown = wanted - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    return wanted
+
+
+def run_verification(system: CoxeterSystem, m: int,
+                     checks=("all",)) -> VerificationReport:
+    wanted = resolve_checks(checks)
     report = VerificationReport(system.key, {"m": m, "checks": sorted(wanted)})
     k = m // 2
 
@@ -574,14 +583,20 @@ def run_verification(system: CoxeterSystem, m: int,
             )
             return report
 
+    # at even m the Ziegler constant of the memoised P_m is det P_{2k} / Q^(2k),
+    # which det-jdkx would otherwise compute again
+    p_constant = None
     if "ziegler" in wanted:
-        report.checks.append(verify_ziegler(system, basis))
+        ziegler = verify_ziegler(system, basis)
+        report.checks.append(ziegler)
+        if m % 2 == 0 and ziegler.status == "pass":
+            p_constant = Fraction(ziegler.detail["constant"])
     if "membership" in wanted:
         report.checks.append(verify_membership(system, basis))
     if "degrees" in wanted:
         report.checks.append(verify_degrees(system, basis))
     if "det-jdkx" in wanted:
-        report.checks.append(verify_det_jdkx(system, k))
+        report.checks.append(verify_det_jdkx(system, k, p_constant))
     if "jdg" in wanted:
         for i, g_key in enumerate(("x", "f", "dx")):
             report.checks.extend(

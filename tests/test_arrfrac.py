@@ -11,8 +11,6 @@ from multider.exactpoly import (
     Poly,
     UnsupportedDenominator,
     divide_exact,
-    frac_from_records,
-    frac_to_records,
     mat_det_adj,
 )
 
@@ -113,24 +111,6 @@ def test_frac_matrix_det_adj_reattaches_denominators():
     for i in range(2):
         for j in range(2):
             assert ident[i][j] == (det if i == j else ArrFrac.from_poly(Poly.zero(2)))
-
-
-def test_frac_serialization_roundtrip_with_orbit_factor():
-    i25 = get_system("I2(5)")
-    quartic = next(f for f in i25.factors if f.degree() > 1)
-    a = ArrFrac(x1**2 + x2, {quartic: 2})
-    rec = frac_to_records(a)
-    kinds = {("factor" in d) for d in rec["den"]}
-    assert kinds == {True}
-    assert frac_from_records(rec, 2) == a
-
-
-def test_frac_serialization_linear_form():
-    den = b2_factors()
-    a = ArrFrac(x2**2, den)
-    rec = frac_to_records(a)
-    assert all("form" in d for d in rec["den"])
-    assert frac_from_records(rec, 2) == a
 
 
 def test_reduction_invariant_after_arith():

@@ -2,10 +2,12 @@
 
 import json
 
-from multider import golden
+import pytest
+
+from multider import golden, verify
 from multider.cli import main
-from multider.exactpoly import Matrix, poly_from_records
-from multider.derivations import p_matrix
+from multider.exactpoly import Matrix, Poly, UnsupportedDenominator, poly_from_records
+from multider.derivations import PipelineError, p_matrix
 from multider.coxeter import get_system
 
 
@@ -112,6 +114,23 @@ def test_verify_checks_subset(capsys):
 def test_verify_unknown_check(capsys):
     code, _, err = run_cli(["verify", "B2", "--m", "1", "--checks", "bogus"], capsys)
     assert code == 2 and "unknown checks" in err
+    # the names are validated before the system is loaded or limits applied
+    code, _, err = run_cli(["verify", "B9", "--m", "1", "--checks", "bogus"], capsys)
+    assert code == 2 and "unknown checks" in err and "limit" not in err
+
+
+@pytest.mark.parametrize("fault", [
+    PipelineError("injected fault"),
+    UnsupportedDenominator(Poly.variable(2, 0) + 1),
+])
+def test_verify_internal_error_exits_1(capsys, monkeypatch, fault):
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(verify, "verify_degrees", broken)
+    code, out, err = run_cli(["verify", "B2", "--m", "1", "--checks", "degrees"], capsys)
+    assert code == 1 and out == ""
+    assert err == f"internal error: {fault}\n"
 
 
 def test_verify_orbit_flag_surfaced(capsys):

@@ -1,5 +1,6 @@
 """Catalog construction and integrity tests."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from multider.coxeter import (
     build_system,
     catalog_entries,
-    defining_poly,
     get_system,
     parse_key,
     symmetric_polys,
@@ -16,6 +16,13 @@ from multider.exactpoly import Poly, is_constant_multiple, rat_det, rat_mat_mul
 
 x1 = Poly.variable(2, 0)
 x2 = Poly.variable(2, 1)
+
+
+def _product(polys):
+    out = Poly.const(2, 1)
+    for p in polys:
+        out = out * p
+    return out
 
 
 def test_b2_catalog_entry():
@@ -29,9 +36,9 @@ def test_b2_catalog_entry():
 
 def test_b2_defining_polynomial():
     s = get_system("B2")
-    q = defining_poly(s)
-    assert is_constant_multiple(q.poly, x1 * x2**3 - x1**3 * x2) in (1, -1)
-    assert len(q.factors) == 4
+    assert is_constant_multiple(s.q_poly, x1 * x2**3 - x1**3 * x2) in (1, -1)
+    assert len(s.factors) == 4
+    assert _product(s.factors) == s.q_poly
 
 
 def test_a1_rank_one():
@@ -109,6 +116,53 @@ def test_i2_6_orbit_factors():
     s = get_system("I2(6)")
     degrees = sorted(f.degree() for f in s.factors)
     assert degrees == [1, 1, 2, 2]
+
+
+def _im_power(m):
+    """Im((x1 + i x2)^m) by the binomial theorem."""
+    return sum(
+        (math.comb(m, k) * (-1) ** (k // 2) * x1 ** (m - k) * x2**k
+         for k in range(1, m + 1, 2)),
+        Poly.zero(2),
+    )
+
+
+@pytest.mark.parametrize("m", range(3, 41))
+def test_dihedral_factors_multiply_to_q(m):
+    s = build_system("I2", 2, m)
+    assert is_constant_multiple(_product(s.factors), _im_power(m))
+    # phi(d) mirror lines for each d | m, in two halves when 4 | d
+    expected = []
+    for d in range(1, m + 1):
+        if m % d == 0:
+            phi = sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1)
+            expected += [phi // 2, phi // 2] if d % 4 == 0 else [phi]
+    assert sorted(f.degree() for f in s.factors) == sorted(expected)
+
+
+def test_dihedral_factors_match_sympy():
+    # sympy is a reference here only; the package itself needs no sympy
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    for m in range(3, 41):
+        # Q(t, 1), the mirror lines other than x2 = 0
+        lm = sympy.Poly(sympy.expand(((t + sympy.I) ** m - (t - sympy.I) ** m)
+                                     / (2 * sympy.I)), t, domain="QQ")
+        _, pairs = sympy.factor_list(lm)
+        assert all(mult == 1 for _, mult in pairs), m
+        reference = sorted(
+            tuple(Fraction(int(c.p), int(c.q)) for c in fac.monic().all_coeffs())
+            for fac, _ in pairs
+        )
+        factors = build_system("I2", 2, m).factors
+        assert x2 in factors, m
+        ours = []
+        for f in factors:
+            if f != x2:
+                d = f.degree()
+                coeffs = [f.coefficient((e, d - e)) for e in range(d, -1, -1)]
+                ours.append(tuple(c / coeffs[0] for c in coeffs))
+        assert sorted(ours) == reference, m
 
 
 def test_symmetric_polys():

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from multider.exactpoly import (
-    LinForm,
     Matrix,
     Poly,
     canonical_factor,
@@ -15,7 +14,6 @@ from multider.exactpoly import (
     poly_from_records,
     poly_to_records,
 )
-from multider.exactpoly import _mul_dict, _mul_kron
 
 
 x1 = Poly.variable(2, 0)
@@ -140,42 +138,11 @@ def test_pow():
     assert (x1 + x2) ** 0 == Poly.const(2, 1)
 
 
-def test_kronecker_matches_dict_multiplication():
-    import random
-
-    from multider.exactpoly import _finish_product
-
-    rng = random.Random(2024)
-    for nv in (2, 3, 4):
-        for _ in range(30):
-            def rand_homog(deg):
-                t = {}
-                for _ in range(rng.randint(1, 30)):
-                    exps = [0] * nv
-                    for _ in range(deg):
-                        exps[rng.randrange(nv)] += 1
-                    t[tuple(exps)] = Fraction(rng.randint(-50, 50), rng.randint(1, 7))
-                return Poly(nv, t)
-
-            a = rand_homog(rng.randint(1, 8))
-            b = rand_homog(rng.randint(1, 8))
-            if a and b:
-                via_kron = _finish_product(nv, *_mul_kron(a, b))
-                via_dict = _finish_product(nv, *_mul_dict(a, b))
-                assert via_kron == via_dict
-
-
 def test_canonical_factor():
     f, s = canonical_factor(x2 - x1)
     assert f == x1 - x2 and s == -1
     f, s = canonical_factor(Fraction(1, 2) * x1 + Fraction(1, 4) * x2)
     assert f == 2 * x1 + x2 and s == Fraction(1, 4)
-
-
-def test_lin_form_normalisation():
-    lf = LinForm([Fraction(-2), Fraction(4)])
-    assert lf.coeffs == (Fraction(1), Fraction(-2))
-    assert lf.poly() == x1 - 2 * x2
 
 
 def test_matrix_det_adj_identity():

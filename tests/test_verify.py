@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from multider import derivations
+from multider import derivations, verify
 from multider.coxeter import get_system
 from multider.derivations import DerivationBasis, p_matrix
 from multider.exactpoly import Matrix, Poly
@@ -104,6 +104,25 @@ def test_det_jdkx_records():
     assert verify_det_jdkx(s, 0).detail["constant"] == "1"
     rec = verify_det_jdkx(s, 1)
     assert rec.status == "pass" and rec.detail["constant"] == "-3"
+
+
+@pytest.mark.parametrize("key", ["B2", "A3", "I2(5)"])
+def test_det_jdkx_reuses_the_ziegler_determinant(monkeypatch, key):
+    s = get_system(key)
+    p_matrix(s, 4)
+    expected = verify_det_jdkx(s, 2).detail
+    det_only_calls = []
+    real = derivations.mat_det_adj
+
+    def counting(matrix, det_only=False):
+        det_only_calls.append(det_only)
+        return real(matrix, det_only)
+
+    monkeypatch.setattr(derivations, "mat_det_adj", counting)
+    monkeypatch.setattr(verify, "mat_det_adj", counting)
+    report = run_verification(s, 4, ("ziegler", "det-jdkx"))
+    assert report.passed and report.checks[1].detail == expected
+    assert det_only_calls.count(True) == 1
 
 
 def test_jdg_identities_trivial_g_x():
