@@ -20,7 +20,7 @@ at construction time rather than trusted:
 * every basic invariant is fixed by every stored generator;
 * the Gram matrix is symmetric positive definite and invariant under the
   generators;
-* Q is anti-invariant under each generator;
+* Q is anti-invariant under each generator (tested factor by factor);
 * det J(f) is a nonzero constant multiple of Q (the constant is stored).
 
 Conventions worth knowing when comparing output against other sources:
@@ -33,10 +33,11 @@ f2 = Re((x1 + i x2)^m).  In these coordinates the individual mirror lines
 are rational only in degenerate cases (m = 4 most notably), so the
 hyperplane list stores the irreducible-over-Q factors of Q; a factor of
 degree d > 1 groups a Galois orbit of d mirror lines, and membership
-certificates for such orbits are computed at the orbit level.  Likewise
-only the mirrors that are rational lines yield rational reflection
-matrices, so for m other than 4 the stored generators span a proper
-subgroup; the invariance assertions run over what is representable.
+along them is tested through q(t, 1), exactly for each line (see
+``verify``).  Likewise only the mirrors that are rational lines yield
+rational reflection matrices, so for m other than 4 the stored generators
+span a proper subgroup; the invariance assertions run over what is
+representable.
 """
 
 from __future__ import annotations
@@ -401,14 +402,29 @@ def _certify(system: CoxeterSystem) -> Fraction:
         for f in system.invariants:
             if f.substitute_linear(g) != f:
                 raise CatalogError(f"{system.key}: invariant not fixed by a generator")
-        if system.q_poly.substitute_linear(g) != system.q_poly * rat_det(g):
-            raise CatalogError(f"{system.key}: Q not anti-invariant under a generator")
+        _check_anti_invariance(system, g)
 
     det, _ = mat_det_adj(system.jacobian_of_invariants(), det_only=True)
     const = is_constant_multiple(det, system.q_poly)
     if const is None or const == 0:
         raise CatalogError(f"{system.key}: det J(f) is not a constant multiple of Q")
     return const
+
+
+def _check_anti_invariance(system: CoxeterSystem, g) -> None:
+    """Q(g x) = det(g) Q(x), tested factor by factor.
+
+    Each factor's image is scale * canonical factor; by unique
+    factorisation Q is anti-invariant iff the canonical images permute
+    the stored factors and the scales multiply to det(g).  This avoids
+    substituting the expanded Q.
+    """
+    images = [canonical_factor(f.substitute_linear(g)) for f in system.factors]
+    scale = Fraction(1)
+    for _, s in images:
+        scale *= s
+    if {f for f, _ in images} != set(system.factors) or scale != rat_det(g):
+        raise CatalogError(f"{system.key}: Q not anti-invariant under a generator")
 
 
 def _transpose(g):

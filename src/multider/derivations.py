@@ -264,7 +264,7 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> Non
 
     Raises PipelineError naming the first entry of the product that differs.
     """
-    product = p_even.to_frac() @ jdkx(system, k)
+    product = p_even @ jdkx(system, k)
     gram = system.gram_matrix(frac=True)
     for i, j, entry in product.entries():
         if entry != gram[i][j]:
@@ -277,7 +277,7 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> Non
 def jdkx_inverse(system: CoxeterSystem, k: int) -> Matrix:
     """J(D^k x)^{-1} = Gram^{-1} P_{2k}; polynomial entries, as fractions."""
     gram_inv = Matrix.from_rational(rat_mat_inv(system.gram), system.rank, frac=True)
-    return gram_inv @ p_matrix(system, 2 * k).matrix.to_frac()
+    return gram_inv @ p_matrix(system, 2 * k).matrix
 
 
 def jdkx_det_constant(system: CoxeterSystem, k: int,
@@ -329,7 +329,7 @@ def b_matrix(system: CoxeterSystem, k: int, route: str = "definition") -> BMatri
     if cached is not None:
         return cached
     if route == "definition":
-        jf = system.jacobian_of_invariants().to_frac()
+        jf = system.jacobian_of_invariants()
         work = jf.transpose() @ system.gram_matrix(frac=True) @ jdkx(system, k)
         if k > 1:
             work = work @ jdkx_inverse(system, k - 1)

@@ -24,7 +24,10 @@ Representations:
   arrangement factor.
 
 * ``Matrix``: small dense matrices over ``Poly`` or ``ArrFrac``, with an
-  exact determinant/adjugate routine (``mat_det_adj``).  The routine
+  exact determinant/adjugate routine (``mat_det_adj``).  A product with a
+  fraction entry anywhere forms each entry as one sum of unreduced
+  products over their common denominator and reduces it once; the reduced
+  form is canonical, so this equals reducing term by term.  The routine
   clears denominators, runs a fraction-free cofactor expansion, and
   reduces every intermediate minor against the arrangement factors.  For
   the Jacobian matrices of the pipeline those minors are divisible by
@@ -762,10 +765,16 @@ def canonical_factor(p: Poly) -> tuple[Poly, Fraction]:
             den = den * d // math.gcd(den, d)
     g = 0
     for c in p._t.values():
-        g = math.gcd(g, abs(int(c * den)))
+        g = math.gcd(g, c.numerator * (den // c.denominator))
     scale = Fraction(g, den)
     if p._t[max(p._t)] < 0:
         scale = -scale
+    # primitive integer input (a stored factor, or its image under a signed
+    # permutation) needs no rescaling
+    if scale == 1:
+        return p, scale
+    if scale == -1:
+        return -p, scale
     inv = 1 / scale
     return Poly._raw(p.nvars, {k: c * inv for k, c in p._t.items()}), scale
 
@@ -787,6 +796,34 @@ def expand_factor_powers(nvars: int, powers: Mapping[Poly, int]) -> Poly:
         if e:
             acc = acc * f**e
     return acc
+
+
+def _common_denominator(
+    nvars: int, pairs: Sequence[tuple[Poly, Mapping[Poly, int]]]
+) -> tuple[list[Poly], dict[Poly, int]]:
+    """Rewrite the fractions num / prod f^den over one denominator.
+
+    The common denominator is the per-factor maximum over the pairs.
+    Returns (numerators, denominator), numerators in the order of pairs.
+    """
+    den: dict[Poly, int] = {}
+    for _, d in pairs:
+        for f, e in d.items():
+            if den.get(f, 0) < e:
+                den[f] = e
+    nums = []
+    for num, d in pairs:
+        lift = {f: e - d.get(f, 0) for f, e in den.items() if e > d.get(f, 0)}
+        nums.append(num * expand_factor_powers(nvars, lift) if lift else num)
+    return nums, den
+
+
+def _product_pair(a: "ArrFrac", b: "ArrFrac") -> tuple[Poly, dict[Poly, int]]:
+    """The unreduced product a * b as (numerator, denominator exponents)."""
+    den = dict(a.den)
+    for f, e in b.den.items():
+        den[f] = den.get(f, 0) + e
+    return a.num * b.num, den
 
 
 # ---------------------------------------------------------------------------
@@ -898,15 +935,8 @@ class ArrFrac:
             return NotImplemented
         if not self.den and not other.den:
             return ArrFrac.from_poly(self.num + other.num)
-        den: dict[Poly, int] = dict(self.den)
-        for f, e in other.den.items():
-            if den.get(f, 0) < e:
-                den[f] = e
-        na = self.num * expand_factor_powers(
-            self.nvars, {f: e - self.den.get(f, 0) for f, e in den.items()}
-        )
-        nb = other.num * expand_factor_powers(
-            self.nvars, {f: e - other.den.get(f, 0) for f, e in den.items()}
+        (na, nb), den = _common_denominator(
+            self.nvars, [(self.num, self.den), (other.num, other.den)]
         )
         return ArrFrac(na + nb, den)
 
@@ -934,10 +964,7 @@ class ArrFrac:
             return NotImplemented
         if not self.num or not other.num:
             return ArrFrac.from_poly(Poly.zero(self.nvars))
-        den = dict(self.den)
-        for f, e in other.den.items():
-            den[f] = den.get(f, 0) + e
-        return ArrFrac(self.num * other.num, den)
+        return ArrFrac(*_product_pair(self, other))
 
     __rmul__ = __mul__
 
@@ -1035,7 +1062,11 @@ class ArrFrac:
 
 
 class Matrix:
-    """Dense matrix over Poly or ArrFrac entries (kept uniform per matrix)."""
+    """Dense matrix over Poly or ArrFrac entries.
+
+    Products and determinants treat a matrix with an ArrFrac entry
+    anywhere as a matrix over ArrFrac.
+    """
 
     __slots__ = ("rows", "cols", "_e")
 
@@ -1092,9 +1123,30 @@ class Matrix:
 
         return self.map(conv)
 
+    def has_frac(self) -> bool:
+        return any(isinstance(v, ArrFrac) for row in self._e for v in row)
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Matrix product.  Over fractions each entry is one sum of the
+        unreduced products over their common denominator, reduced once."""
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch")
+        if self.has_frac() or other.has_frac():
+            a, b = self.to_frac()._e, other.to_frac()._e
+            nvars = a[0][0].nvars
+            out = []
+            for i in range(self.rows):
+                row = []
+                for j in range(other.cols):
+                    pairs = [
+                        _product_pair(a[i][k], b[k][j])
+                        for k in range(self.cols)
+                        if a[i][k] and b[k][j]
+                    ]
+                    nums, den = _common_denominator(nvars, pairs)
+                    row.append(ArrFrac(sum(nums, Poly.zero(nvars)), den))
+                out.append(row)
+            return Matrix(out)
         out = []
         for i in range(self.rows):
             row = []
@@ -1175,26 +1227,13 @@ def mat_det_adj(matrix: Matrix, det_only: bool = False):
     if not matrix.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = matrix.rows
-    frac_input = any(isinstance(v, ArrFrac) for _, _, v in matrix.entries())
+    frac_input = matrix.has_frac()
 
     if frac_input:
         m = matrix.to_frac()
         nvars = m[0][0].nvars
-        clear: dict[Poly, int] = {}
-        for _, _, v in m.entries():
-            for f, e in v.den.items():
-                if clear.get(f, 0) < e:
-                    clear[f] = e
-        cleared = [
-            [
-                m[i][j].num
-                * expand_factor_powers(
-                    nvars, {f: e - m[i][j].den.get(f, 0) for f, e in clear.items()}
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        nums, clear = _common_denominator(nvars, [(v.num, v.den) for _, _, v in m.entries()])
+        cleared = [nums[i * n:(i + 1) * n] for i in range(n)]
         factors = sorted_factors(clear)
     else:
         nvars = matrix[0][0].nvars

@@ -12,12 +12,13 @@ The checks, by name as used in reports and on the command line:
                 determinant criterion for a basis of the m-derivation
                 module; the constant is recorded).
 * membership    theta_j(alpha_H) is divisible by alpha_H^m for every
-                hyperplane factor and every column.  For an irreducible
-                factor q of degree d > 1 (a Galois orbit of d irrational
-                mirror lines of a dihedral arrangement) the product of
-                theta_j over the orbit equals q evaluated at the column
-                entries, so divisibility of q(theta_j(x_1), ...) by q^m is
-                checked instead and the record is flagged orbit_level.
+                hyperplane factor and every column.  An irreducible factor
+                q of degree d > 1 is a Galois orbit of d irrational mirror
+                lines x1 = t x2 of a dihedral arrangement, t a root of
+                q(t, 1); with a = theta_j(x1), b = theta_j(x2) at x2 = 1
+                the test is exact per line: q(t, 1) divides
+                a^(i)(t) - t b^(i)(t) for every i < m (each homogeneous
+                degree apart).  Such records are flagged orbit_level.
 * degrees       nonzero entries of column j are homogeneous of degree k*h
                 (m even) or k*h + m_j (m odd).
 * det-jdkx      det J(D^k x) * Q^(2k) is a nonzero rational constant.
@@ -171,37 +172,80 @@ def verify_membership(system: CoxeterSystem, basis: DerivationBasis) -> CheckRec
     orbit_level = False
     mat = basis.matrix
     for q in system.factors:
-        d = q.degree()
         for j in range(ell):
-            if d == 1:
-                val = Poly.zero(ell)
-                for i in range(ell):
-                    coeff = q.coefficient(tuple(1 if t == i else 0 for t in range(ell)))
-                    if coeff:
-                        val = val + mat[i][j] * coeff
+            column = [mat[i][j] for i in range(ell)]
+            if q.degree() == 1:
+                failure = _line_membership_failure(q, column, m)
             else:
                 orbit_level = True
-                val = q.substitute_polys([mat[i][j] for i in range(ell)])
-            cur = val
-            for step in range(m):
-                nxt = divide_exact(cur, q)
-                if nxt is None:
-                    rec = CheckRecord(
-                        "membership",
-                        "fail",
-                        {"m": m, "orbit_level": orbit_level},
-                        {
-                            "factor": str(q),
-                            "column": j + 1,
-                            "divisions_done": step,
-                            "residual": str(cur),
-                        },
-                    )
-                    return _finish(rec, t0)
-                cur = nxt
+                failure = _orbit_membership_failure(q, column, m)
+            if failure is not None:
+                step, residual = failure
+                rec = CheckRecord(
+                    "membership",
+                    "fail",
+                    {"m": m, "orbit_level": orbit_level},
+                    {
+                        "factor": str(q),
+                        "column": j + 1,
+                        "divisions_done": step,
+                        "residual": residual,
+                    },
+                )
+                return _finish(rec, t0)
     return _finish(
         CheckRecord("membership", "pass", {"m": m, "orbit_level": orbit_level}), t0
     )
+
+
+def _line_membership_failure(alpha: Poly, column, m: int) -> tuple[int, str] | None:
+    """None when alpha^m divides theta(alpha) for the linear form alpha, else
+    (the number of divisions that succeeded, the residual)."""
+    ell = alpha.nvars
+    cur = Poly.zero(ell)
+    for i in range(ell):
+        coeff = alpha.coefficient(tuple(1 if t == i else 0 for t in range(ell)))
+        if coeff:
+            cur = cur + column[i] * coeff
+    for step in range(m):
+        nxt = divide_exact(cur, alpha)
+        if nxt is None:
+            return step, str(cur)
+        cur = nxt
+    return None
+
+
+def _orbit_membership_failure(q: Poly, column, m: int) -> tuple[int, str] | None:
+    """Exact membership of one column along the mirror lines of a binary
+    form q of degree > 1, irreducible over Q and prime to x2.
+
+    Its lines are x1 = t x2 for the roots t of q~(t) = q(t, 1), and theta
+    lies in D^(m) along them iff q~(t) divides a^(j)(t) - t b^(j)(t) for
+    every j < m, where a, b are theta(x1), theta(x2) at x2 = 1, taken one
+    homogeneous degree at a time (dehomogenising merges the degrees).
+    Returns None, or (j, that polynomial in t = x1/x2) for the first j
+    that fails.
+    """
+    q_t = _dehomogenise(q)[q.degree()]
+    t = Poly.variable(1, 0)
+    parts_a, parts_b = _dehomogenise(column[0]), _dehomogenise(column[1])
+    for deg in sorted(set(parts_a) | set(parts_b)):
+        a = parts_a.get(deg, Poly.zero(1))
+        b = parts_b.get(deg, Poly.zero(1))
+        for j in range(m):
+            residual = a - t * b
+            if divide_exact(residual, q_t) is None:
+                return j, str(residual).replace("x1", "t")
+            a, b = a.diff(0), b.diff(0)
+    return None
+
+
+def _dehomogenise(p: Poly) -> dict[int, Poly]:
+    """The homogeneous components of a polynomial in x1, x2 at x2 = 1, by degree."""
+    parts: dict[int, dict] = {}
+    for (e1, e2), c in p.items():
+        parts.setdefault(e1 + e2, {})[(e1,)] = c
+    return {deg: Poly(1, terms) for deg, terms in parts.items()}
 
 
 def verify_degrees(system: CoxeterSystem, basis: DerivationBasis) -> CheckRecord:
@@ -302,14 +346,14 @@ def verify_jdg_identities(system: CoxeterSystem, g_key: str = "x",
         records.append(_finish(_eq_record(f"{tag}.ii", lhs, rhs), t0))
 
         t0 = time.perf_counter()
-        jf = system.jacobian_of_invariants().to_frac()
+        jf = system.jacobian_of_invariants()
         lhs = _matrix_apply_d(inv @ jf, dx)
         rhs = -(inv @ jdg @ inv @ jf)
         records.append(_finish(_eq_record(f"{tag}.iv", lhs, rhs), t0))
 
     if include_f_identity:
         t0 = time.perf_counter()
-        jf = system.jacobian_of_invariants().to_frac()
+        jf = system.jacobian_of_invariants()
         lhs = _matrix_apply_d(jf, dx)
         rhs = -(jdx @ jf)
         records.append(_finish(_eq_record("jdg.iii", lhs, rhs), t0))
@@ -467,7 +511,7 @@ def verify_equivariance(system: CoxeterSystem, k: int, m: int) -> list[CheckReco
     records: list[CheckRecord] = []
     ell = system.rank
     jk = jdkx(system, k)
-    jf = system.jacobian_of_invariants().to_frac()
+    jf = system.jacobian_of_invariants()
     basis = p_matrix(system, m) if m % 2 == 1 else None
     for gi, g in enumerate(system.generators):
         rho = Matrix.from_rational(g, ell, frac=True)

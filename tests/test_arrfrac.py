@@ -117,7 +117,60 @@ def test_reduction_invariant_after_arith():
     den = b2_factors()
     a = ArrFrac(x1**2 - x2**2, {f: 1 for f in den})
     b = ArrFrac(x1 * x2, {f: 2 for f in den})
-    for r in (a + b, a - b, a * b):
+    product = Matrix([[a, b], [b, a]]) @ Matrix([[b, x1], [a, a]])
+    for r in (a + b, a - b, a * b, *(v for _, _, v in product.entries())):
         for f, e in r.den.items():
             assert e > 0
             assert divide_exact(r.num, f) is None
+
+
+def _termwise(a: Matrix, b: Matrix) -> Matrix:
+    """Reference product: one reduced ArrFrac product and sum per term."""
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = ArrFrac.from_poly(Poly.zero(2))
+            for k in range(a.cols):
+                acc = acc + ArrFrac._coerce(a[i][k], 2) * ArrFrac._coerce(b[k][j], 2)
+            row.append(acc)
+        rows.append(row)
+    return Matrix(rows)
+
+
+def test_fused_product_matches_termwise_sum():
+    lx1, lx2 = x1, x2
+    plus, minus = x1 + x2, x1 - x2
+    zero = Poly.zero(2)
+    # mixed Poly / ArrFrac operands, with zero entries of both kinds
+    a = Matrix([
+        [ArrFrac(x2, {lx1: 1, plus: 1}), ArrFrac(Poly.const(2, 1), {plus: 1}), x1],
+        [ArrFrac(x1, {minus: 1}), ArrFrac(-x2, {minus: 1}), zero],
+        [ArrFrac.from_poly(zero), ArrFrac(x1**2, {lx2: 2, minus: 1}), x2],
+    ])
+    b = Matrix([
+        [Poly.const(2, 1), ArrFrac(x1 - 2 * x2, {lx2: 1})],
+        [ArrFrac.from_poly(Poly.const(2, 1)), x1],
+        [zero, ArrFrac(x2, {plus: 2})],
+    ])
+    got = a @ b
+    assert got == _termwise(a, b)
+    assert all(isinstance(v, ArrFrac) for _, _, v in got.entries())
+    # x2/(x1 (x1+x2)) + 1/(x1+x2) = 1/x1: the factor x1 + x2 drops out
+    assert got[0][0] == ArrFrac(Poly.const(2, 1), {lx1: 1})
+    # x1/(x1-x2) - x2/(x1-x2) = 1: the entry cancels to a polynomial
+    assert got[1][0] == Poly.const(2, 1) and got[1][0].is_polynomial()
+    # a column of zeros gives a zero entry with no denominator
+    z = Matrix([[zero], [ArrFrac.from_poly(zero)], [zero]])
+    prod = a @ z
+    assert all(not v and not v.den for _, _, v in prod.entries())
+
+
+def test_fused_product_dispatches_on_any_fraction_entry():
+    # the only fraction sits away from [0][0] in the right operand
+    a = Matrix([[x1, x2], [x2, x1]])
+    b = Matrix([[x1, x2], [x2, ArrFrac(x1, {x2: 1})]])
+    got = a @ b
+    assert got == _termwise(a, b)
+    assert all(isinstance(v, ArrFrac) for _, _, v in got.entries())
+    assert got[0][1] == x1 * x2 + x1

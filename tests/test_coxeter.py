@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from multider.coxeter import (
+    CatalogError,
+    _check_anti_invariance,
     build_system,
     catalog_entries,
     get_system,
@@ -95,6 +97,21 @@ def test_generator_relations(key):
         assert s.q_poly.substitute_linear(g) == s.q_poly * det
         for f in s.invariants:
             assert f.substitute_linear(g) == f
+
+
+@pytest.mark.parametrize("key", ["A2", "A5", "I2(5)"])
+def test_anti_invariance_rejects_doctored_generators(key):
+    s = get_system(key)
+    for g in s.generators:
+        _check_anti_invariance(s, g)
+    ell = s.rank
+    shear = [[int(i == j or (i, j) == (0, 1)) for j in range(ell)] for i in range(ell)]
+    with pytest.raises(CatalogError, match="anti-invariant"):
+        _check_anti_invariance(s, shear)
+    if key == "A2":
+        # -1 permutes the three lines; the scales multiply to -1, det is +1
+        with pytest.raises(CatalogError, match="anti-invariant"):
+            _check_anti_invariance(s, [[-1, 0], [0, -1]])
 
 
 def test_i2_4_is_rational_b2_rotation():

@@ -21,6 +21,9 @@ from multider.verify import (
     verify_ziegler,
 )
 
+x1 = Poly.variable(2, 0)
+x2 = Poly.variable(2, 1)
+
 
 def corrupt(basis: DerivationBasis, i=0, j=0) -> DerivationBasis:
     rows = [[basis.matrix[r][c] for c in range(basis.matrix.cols)]
@@ -55,7 +58,6 @@ def test_membership_b2_m3():
     rec = verify_membership(s, basis)
     assert rec.status == "pass" and rec.detail["orbit_level"] is False
     # the explicit entry: theta_1(x1) = -(1/3) x1^3 (x1^2 - 5 x2^2), divisible by x1^3
-    x1 = Poly.variable(2, 0)
     col = basis.matrix[0][0]
     from multider.exactpoly import divide_exact
     q = divide_exact(col, x1**3)
@@ -79,6 +81,38 @@ def test_membership_orbit_level_flag():
     s = get_system("I2(5)")
     rec = verify_membership(s, p_matrix(s, 2))
     assert rec.status == "pass" and rec.detail["orbit_level"] is True
+
+
+@pytest.mark.parametrize("key, column", [
+    # x1 d1 - x2 d2 maps each irrational mirror line of I2(5) onto another
+    # one, so q(theta(x1), theta(x2)) = q(x1, -x2) = q while theta is not in D(A)
+    ("I2(5)", (x1, -x2)),
+    # a - t b = 3t^2 - 1 = q(t, 1) once the degrees are merged, but the
+    # degree-2 part 3t^2 alone is not divisible by it
+    ("I2(3)", (3 * x1**2 - 1, Poly.zero(2))),
+])
+def test_membership_orbit_is_exact_per_line(key, column):
+    s = get_system(key)
+    orbit = next(q for q in s.factors if q.degree() > 1)
+    basis = DerivationBasis(key, 1, 0, Matrix([[column[0], x1], [column[1], x2]]), (1, 1))
+    rec = verify_membership(s, basis)
+    assert rec.status == "fail" and rec.detail == {"m": 1, "orbit_level": True}
+    assert rec.witness["factor"] == str(orbit) and rec.witness["column"] == 1
+    assert rec.witness["divisions_done"] == 0
+    # the Euler derivation x1 d1 + x2 d2 is in D(A)
+    euler = DerivationBasis(key, 1, 0, Matrix([[x1, x1], [x2, x2]]), (1, 1))
+    assert verify_membership(s, euler).status == "pass"
+
+
+@pytest.mark.parametrize("key", ["I2(3)", "I2(5)", "I2(8)"])
+def test_membership_orbit_multiplicity_is_exact(key):
+    # the columns of P_3 lie in D^(3) and not in D^(4): claiming m = 4 fails
+    # after three derivative orders along an orbit of irrational lines
+    s = get_system(key)
+    basis = replace(p_matrix(s, 3), m=4)
+    rec = verify_membership(s, basis)
+    assert rec.status == "fail" and rec.detail["orbit_level"] is True
+    assert rec.witness["divisions_done"] == 3
 
 
 def test_degrees_checks():
