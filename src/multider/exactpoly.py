@@ -2,17 +2,22 @@
 
 Everything downstream (invariant catalogs, primitive-derivation pipeline,
 determinant certificates) rests on the guarantee that arithmetic here is
-exact.  Coefficients are always ``fractions.Fraction``; nothing is ever
-rounded, and equality of polynomials is literal equality of term maps.
+exact.  Coefficients are exact rationals; nothing is ever rounded, and
+equality of polynomials is literal equality of their canonical form.
 
 Representations:
 
-* ``Poly``: sparse polynomial.  Terms are stored in a dict keyed by a
-  packed integer encoding of the exponent vector.  The packing puts the
-  total degree in the most significant field, followed by the exponents
-  of x1, x2, ... in order, so comparing packed keys as plain integers is
-  exactly the graded lexicographic order.  That gives deterministic
-  leading terms and deterministic serialization for free.
+* ``Poly``: sparse polynomial.  Its coefficients are Python ints over one
+  positive common denominator, coprime to all of them, so every kernel
+  runs on integers; ``fractions.Fraction`` appears only where values enter
+  or leave (the constructor, ``items``, ``coefficient``, ``leading``,
+  ``constant_value``, rendering, and the scales returned by
+  ``is_constant_multiple`` and ``canonical_factor``).  Terms are stored in
+  a dict keyed by a packed integer encoding of the exponent vector.  The
+  packing puts the total degree in the most significant field, followed
+  by the exponents of x1, x2, ... in order, so comparing packed keys as
+  plain integers is exactly the graded lexicographic order.  That gives
+  deterministic leading terms and deterministic serialization for free.
 
 * ``ArrFrac``: a rational function whose denominator is kept factored as
   a product of irreducible polynomials (linear forms for the classical
@@ -39,6 +44,7 @@ All values are immutable after construction; all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from fractions import Fraction
@@ -128,11 +134,14 @@ class UnsupportedDenominator(ValueError):
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Instances are immutable.  ``_t`` maps packed exponent keys to nonzero
-    ``Fraction`` coefficients; the zero polynomial has an empty map.
+    Instances are immutable.  The polynomial is ``_t / _d``: ``_t`` maps
+    packed exponent keys to nonzero ``int`` coefficients and ``_d`` is one
+    positive ``int`` denominator with gcd(``_d``, every coefficient) = 1.
+    That form is canonical, so equality and hashing compare it literally.
+    The zero polynomial has an empty map and ``_d == 1``.
     """
 
-    __slots__ = ("nvars", "_t", "_hash", "_intform")
+    __slots__ = ("nvars", "_t", "_d", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Sequence[int], Fraction | int] = ()):
         if nvars < 1:
@@ -153,29 +162,29 @@ class Poly:
                     elif key in packed:
                         del packed[key]
         self.nvars = nvars
-        self._t = packed
+        self._t, self._d = _over_lcm(packed)
         self._hash = None
-        self._intform = None
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def _raw(cls, nvars: int, packed: dict[int, Fraction]) -> "Poly":
+    def _raw(cls, nvars: int, ints: dict[int, int], den: int) -> "Poly":
+        """Wrap terms that are already in canonical form."""
         p = object.__new__(cls)
         p.nvars = nvars
-        p._t = packed
+        p._t = ints
+        p._d = den
         p._hash = None
-        p._intform = None
         return p
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls._raw(nvars, {})
+        return cls._raw(nvars, {}, 1)
 
     @classmethod
     def const(cls, nvars: int, value) -> "Poly":
         c = Fraction(value)
-        return cls._raw(nvars, {0: c} if c else {})
+        return cls._raw(nvars, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
@@ -183,7 +192,7 @@ class Poly:
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         shifts, deg_shift, _ = _layout(nvars)
-        return cls._raw(nvars, {(1 << shifts[index]) | (1 << deg_shift): _ONE})
+        return cls._raw(nvars, {(1 << shifts[index]) | (1 << deg_shift): 1}, 1)
 
     # -- inspection -----------------------------------------------------------
 
@@ -213,36 +222,37 @@ class Poly:
         if not self._t:
             return _ZERO
         if len(self._t) == 1 and 0 in self._t:
-            return self._t[0]
+            return Fraction(self._t[0], self._d)
         raise ValueError(f"not a constant polynomial: {self}")
 
     def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms as (exponent tuple, coefficient), leading term first (graded-lex)."""
         shifts, _, _ = _layout(self.nvars)
-        return [(_unpack(k, shifts), self._t[k]) for k in sorted(self._t, reverse=True)]
+        t, d = self._t, self._d
+        return [(_unpack(k, shifts), Fraction(t[k], d)) for k in sorted(t, reverse=True)]
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         if not self._t:
             raise ValueError("zero polynomial has no leading term")
         shifts, _, _ = _layout(self.nvars)
         k = max(self._t)
-        return _unpack(k, shifts), self._t[k]
+        return _unpack(k, shifts), Fraction(self._t[k], self._d)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         shifts, deg_shift, _ = _layout(self.nvars)
-        return self._t.get(_pack(exps, shifts, deg_shift), _ZERO)
+        return Fraction(self._t.get(_pack(exps, shifts, deg_shift), 0), self._d)
 
     # -- hashing / equality ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self._t == other._t
+        return self.nvars == other.nvars and self._d == other._d and self._t == other._t
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.nvars, frozenset(self._t.items())))
+            h = hash((self.nvars, self._d, frozenset(self._t.items())))
             self._hash = h
         return h
 
@@ -257,20 +267,11 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, Poly):
             self._check_compatible(other)
-            a, b = self._t, other._t
-            if not a:
+            if not self._t:
                 return other
-            if not b:
+            if not other._t:
                 return self
-            out = dict(a)
-            for k, c in b.items():
-                c0 = out.get(k)
-                c = c if c0 is None else c0 + c
-                if c:
-                    out[k] = c
-                elif k in out:
-                    del out[k]
-            return Poly._raw(self.nvars, out)
+            return _sum(self, other, 1)
         if isinstance(other, (int, Fraction)):
             return self + Poly.const(self.nvars, other)
         return NotImplemented
@@ -282,15 +283,7 @@ class Poly:
             self._check_compatible(other)
             if not other._t:
                 return self
-            out = dict(self._t)
-            for k, c in other._t.items():
-                c0 = out.get(k)
-                c = -c if c0 is None else c0 - c
-                if c:
-                    out[k] = c
-                elif k in out:
-                    del out[k]
-            return Poly._raw(self.nvars, out)
+            return _sum(self, other, -1)
         if isinstance(other, (int, Fraction)):
             return self - Poly.const(self.nvars, other)
         return NotImplemented
@@ -299,19 +292,22 @@ class Poly:
         return (-self) + other
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.nvars, {k: -c for k, c in self._t.items()})
+        return Poly._raw(self.nvars, {k: -c for k, c in self._t.items()}, self._d)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_compatible(other)
             return _mul_poly(self, other)
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return Poly.zero(self.nvars)
-            if c == 1:
+            if other == 1:
                 return self
-            return Poly._raw(self.nvars, {k: v * c for k, v in self._t.items()})
+            c = Fraction(other)
+            num = c.numerator
+            return _canon(
+                self.nvars, {k: v * num for k, v in self._t.items()}, self._d * c.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -338,12 +334,12 @@ class Poly:
         shifts, deg_shift, _ = _layout(self.nvars)
         s = shifts[index]
         drop = (1 << s) | (1 << deg_shift)
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for k, c in self._t.items():
             e = (k >> s) & _MASK
             if e:
                 out[k - drop] = c * e
-        return Poly._raw(self.nvars, out)
+        return _canon(self.nvars, out, self._d)
 
     def substitute_linear(self, matrix: Sequence[Sequence[Fraction | int]]) -> "Poly":
         """Replace each x_j by sum_i matrix[i][j] * x_i.
@@ -362,7 +358,7 @@ class Poly:
         # generators): remap exponents and track the sign.
         perm = _signed_permutation(matrix, n)
         if perm is not None:
-            out: dict[int, Fraction] = {}
+            out: dict[int, int] = {}
             for k, c in self._t.items():
                 key = k & ~(((1 << deg_shift) - 1))  # keep degree field
                 sign = 1
@@ -374,38 +370,17 @@ class Poly:
                         if sgn < 0 and (e & 1):
                             sign = -sign
                 out[key] = c if sign > 0 else -c
-            return Poly._raw(n, out)
+            return Poly._raw(n, out, self._d)
 
-        images = [
-            Poly._raw(
-                n,
-                {
-                    (1 << shifts[i]) | (1 << deg_shift): Fraction(matrix[i][j])
-                    for i in range(n)
-                    if matrix[i][j]
-                },
-            )
-            for j in range(n)
-        ]
-        power_cache: list[dict[int, Poly]] = [dict() for _ in range(n)]
-
-        def img_power(j: int, e: int) -> Poly:
-            cache = power_cache[j]
-            got = cache.get(e)
-            if got is None:
-                got = images[j] ** e
-                cache[e] = got
-            return got
-
-        acc = Poly.zero(n)
-        for k, c in sorted(self._t.items(), reverse=True):
-            term = Poly.const(n, c)
-            for j in range(n):
-                e = (k >> shifts[j]) & _MASK
-                if e:
-                    term = term * img_power(j, e)
-            acc = acc + term
-        return acc
+        images = []
+        for j in range(n):
+            ints, den = _over_lcm({
+                (1 << shifts[i]) | (1 << deg_shift): Fraction(matrix[i][j])
+                for i in range(n)
+                if matrix[i][j]
+            })
+            images.append(Poly._raw(n, ints, den))
+        return self._evaluate(images)
 
     def substitute_polys(self, images: Sequence["Poly"]) -> "Poly":
         """Evaluate self at arbitrary polynomial arguments, one per variable."""
@@ -414,6 +389,11 @@ class Poly:
             raise ValueError("need one image polynomial per variable")
         if not self._t:
             return Poly.zero(images[0].nvars if images else n)
+        return self._evaluate(images)
+
+    def _evaluate(self, images: Sequence["Poly"]) -> "Poly":
+        """sum_k c_k prod_j images[j]^e_kj, on the integer numerators of self."""
+        n = self.nvars
         m = images[0].nvars
         shifts, _, _ = _layout(n)
         power_cache: list[dict[int, Poly]] = [dict() for _ in range(n)]
@@ -428,51 +408,21 @@ class Poly:
 
         acc = Poly.zero(m)
         for k, c in sorted(self._t.items(), reverse=True):
-            term = Poly.const(m, c)
+            term = Poly._raw(m, {0: c}, 1)
             for j in range(n):
                 e = (k >> shifts[j]) & _MASK
                 if e:
                     term = term * img_power(j, e)
             acc = acc + term
-        return acc
-
-    # -- scaled integer form (internal, reused by multiplication and division)
-
-    def _int_form(self) -> tuple[int, dict[int, int]]:
-        """Coefficients as integers over one common denominator.
-
-        The denominator is a common multiple of the coefficient
-        denominators, not necessarily the least one (multiplication and
-        division attach their natural scaling to avoid reconversions).
-        """
-        got = self._intform
-        if got is None:
-            den = 1
-            for c in self._t.values():
-                d = c.denominator
-                if d != 1:
-                    den = den * d // math.gcd(den, d)
-            if den == 1:
-                ints = {k: c.numerator for k, c in self._t.items()}
-            else:
-                ints = {
-                    k: c.numerator * (den // c.denominator)
-                    for k, c in self._t.items()
-                }
-            got = (den, ints)
-            self._intform = got
-        return got
+        return _canon(m, acc._t, acc._d * self._d)
 
     # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:
         if not self._t:
             return "0"
-        shifts, _, _ = _layout(self.nvars)
         parts: list[str] = []
-        for k in sorted(self._t, reverse=True):
-            c = self._t[k]
-            exps = _unpack(k, shifts)
+        for exps, c in self.items():
             factors = [
                 f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
                 for i, e in enumerate(exps)
@@ -493,6 +443,56 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _over_lcm(fracs: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """Canonical (integer terms, denominator) of nonzero Fraction terms.
+
+    Over the least common denominator the numerators already share no
+    factor with it, so no further reduction is needed.
+    """
+    den = math.lcm(*(c.denominator for c in fracs.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}, den
+
+
+def _canon(nvars: int, ints: dict[int, int], den: int) -> Poly:
+    """The Poly ints / den in canonical form.
+
+    ints holds nonzero integers and den is a nonzero integer; the sign of
+    den moves to the numerators and the common content is divided out.
+    """
+    if den < 0:
+        den = -den
+        ints = {k: -v for k, v in ints.items()}
+    if den != 1:
+        g = math.gcd(den, *ints.values())
+        if g != 1:
+            den //= g
+            ints = {k: v // g for k, v in ints.items()}
+    return Poly._raw(nvars, ints, den)
+
+
+def _sum(a: Poly, b: Poly, sign: int) -> Poly:
+    """a + sign * b for nonzero a and b, over the lcm of their denominators."""
+    da, db = a._d, b._d
+    if da == db:
+        out = dict(a._t)
+        den = da
+    else:
+        g = math.gcd(da, db)
+        lift = db // g
+        sign *= da // g
+        den = da * lift
+        out = {k: v * lift for k, v in a._t.items()}
+    get = out.get
+    for k, c in b._t.items():
+        c0 = get(k)
+        c = c * sign if c0 is None else c0 + c * sign
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return _canon(a.nvars, out, den)
 
 
 def _signed_permutation(matrix, n) -> list[tuple[int, int]] | None:
@@ -519,36 +519,10 @@ def _signed_permutation(matrix, n) -> list[tuple[int, int]] | None:
 # ---------------------------------------------------------------------------
 
 
-def _frac_dict(ints: dict[int, int], den: int) -> dict[int, Fraction]:
-    """Fraction terms from an integer dict over a common denominator."""
-    if den == 1:
-        out = {}
-        for k, v in ints.items():
-            f = object.__new__(Fraction)
-            f._numerator = v
-            f._denominator = 1
-            out[k] = f
-        return out
-    return {k: Fraction(v, den) for k, v in ints.items()}
-
-
-def _reduce_int_form(den: int, ints: dict[int, int]) -> tuple[int, dict[int, int]]:
-    """Divide out the common content when the denominator has grown large."""
-    if den.bit_length() <= 64:
-        return den, ints
-    g = den
-    for v in ints.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return den, ints
-    return den // g, {k: v // g for k, v in ints.items()}
-
-
 def _mul_poly(a: Poly, b: Poly) -> Poly:
     if not a._t or not b._t:
         return Poly.zero(a.nvars)
-    da, ia = a._int_form()
-    db, ib = b._int_form()
+    ia, ib = a._t, b._t
     if len(ia) > len(ib):
         ia, ib = ib, ia
     items_b = list(ib.items())
@@ -559,16 +533,17 @@ def _mul_poly(a: Poly, b: Poly) -> Poly:
             k = ka + kb
             v = get(k)
             raw[k] = ca * cb if v is None else v + ca * cb
-    ints = {k: v for k, v in raw.items() if v}
-    den, ints = _reduce_int_form(da * db, ints)
-    p = Poly._raw(a.nvars, _frac_dict(ints, den))
-    p._intform = (den, ints)
-    return p
+    return _canon(a.nvars, {k: v for k, v in raw.items() if v}, a._d * b._d)
 
 
 # ---------------------------------------------------------------------------
 # exact division
 # ---------------------------------------------------------------------------
+#
+# Every kernel divides the integer numerator N of num by the primitive part
+# P of the divisor (integer coefficients with no common factor).  By Gauss's
+# lemma an exact quotient N / P has integer coefficients, so a coefficient
+# that does not divide exactly proves that no quotient exists.
 
 
 def divide_exact(num: Poly, div: Poly) -> Poly | None:
@@ -584,44 +559,46 @@ def divide_exact(num: Poly, div: Poly) -> Poly | None:
     if not num._t:
         return num
     n = num.nvars
-    shifts, deg_shift, guard = _layout(n)
+    g = math.gcd(*div._t.values())
+    dt = div._t if g == 1 else {k: v // g for k, v in div._t.items()}
 
-    if len(div._t) == 1:
-        (kd, cd), = div._t.items()
-        if kd == 0:
-            inv = 1 / cd
-            return Poly._raw(n, {k: c * inv for k, c in num._t.items()})
-        out: dict[int, Fraction] = {}
+    if len(dt) == 1:
+        # a primitive monomial is +-x^kd
+        (kd, sign), = dt.items()
+        _, _, guard = _layout(n)
+        q = {}
         for k, c in num._t.items():
             if (((k | guard) - kd) & guard) != guard:
                 return None
-            out[k - kd] = c / cd
-        return Poly._raw(n, out)
+            q[k - kd] = c * sign
+    elif div.degree() == 1 and div.is_homogeneous():
+        # dedicated kernel for linear forms, the divisors that dominate the
+        # reduction work of the pipeline
+        q = _divide_linear(n, num._t, dt)
+    else:
+        q = _divide_general(n, num._t, dt)
+    if q is None:
+        return None
+    # num / div = (N / num._d) / ((g / div._d) * P) = Q * div._d / (g * num._d)
+    dd = div._d
+    if dd != 1:
+        q = {k: v * dd for k, v in q.items()}
+    return _canon(n, q, g * num._d)
 
-    # dedicated kernel for linear forms, the divisors that dominate the
-    # reduction work of the pipeline
-    if div.degree() == 1 and div.is_homogeneous():
-        return _divide_linear(num, div)
 
-    return _divide_general(num, div)
-
-
-def _divide_linear(num: Poly, div: Poly) -> Poly | None:
-    """Synthetic division by a homogeneous linear form.
+def _divide_linear(n: int, nt: dict[int, int], dt: dict[int, int]) -> dict[int, int] | None:
+    """Synthetic division by a primitive homogeneous linear form.
 
     Writing the divisor as c_a x_a + S (x_a its graded-lex leading
-    variable) and num = sum x_a^i P_i, the quotient levels satisfy
-    Q_{i-1} = (P_i - S Q_i) / c_a descending from the top, with remainder
-    P_0 - S Q_0 that must vanish identically.  The loop runs on scaled
-    integers (W_i = c_a^{d-i} Q_i stays integral), so the hot path does no
-    rational normalisation at all; cost is linear in the number of terms
-    times the divisor width, and no heap is needed because every generated
-    key stays on its x_a level.
+    variable) and the numerator as sum x_a^i P_i, the quotient levels
+    satisfy Q_{i-1} = (P_i - S Q_i) / c_a descending from the top, with
+    remainder P_0 - S Q_0 that must vanish identically.  Every level is
+    integral when the division is exact, so a coefficient that c_a does
+    not divide ends the search at once.  Cost is linear in the number of
+    terms times the divisor width, and no heap is needed because every
+    generated key stays on its x_a level.
     """
-    n = num.nvars
     shifts, deg_shift, _ = _layout(n)
-    dn, nt = num._int_form()
-    dd, dt = div._int_form()
     items = sorted(dt.items(), reverse=True)
     (k1, c1) = items[0]
     a_idx = next(i for i, s in enumerate(shifts) if (k1 >> s) & _MASK)
@@ -638,16 +615,11 @@ def _divide_linear(num: Poly, div: Poly) -> Poly | None:
     if d == 0:
         return None
 
-    pow_ca = [1] * (d + 1)
-    for i in range(1, d + 1):
-        pow_ca[i] = pow_ca[i - 1] * c1
-
     one_a = (1 << sa) | (1 << deg_shift)
-    out_levels: list[tuple[int, dict[int, int]]] = []
+    quotient: dict[int, int] = {}
     q_prev: dict[int, int] = {}
     for i in range(d - 1, -1, -1):
-        scale = pow_ca[d - i - 1]
-        cur = {k - one_a: v * scale for k, v in levels.get(i + 1, {}).items()}
+        cur = {k - one_a: v for k, v in levels.get(i + 1, {}).items()}
         for shift_ab, cb in rest:
             for k, v in q_prev.items():
                 k2c = k + shift_ab
@@ -657,49 +629,40 @@ def _divide_linear(num: Poly, div: Poly) -> Poly | None:
                     cur[k2c] = nv
                 elif k2c in cur:
                     del cur[k2c]
-        out_levels.append((i, cur))
+        if c1 != 1:
+            for k, v in cur.items():
+                qv, r = divmod(v, c1)
+                if r:
+                    return None
+                cur[k] = qv
+        quotient.update(cur)
         q_prev = cur
 
-    top = pow_ca[d]
-    rem = {k: v * top for k, v in levels.get(0, {}).items()}
-    bump = (1 << sa) | (1 << deg_shift)
+    rem = levels.get(0, {})
     for shift_ab, cb in rest:
         for k, v in q_prev.items():
-            k2c = k + shift_ab + bump
+            k2c = k + shift_ab + one_a
             w = rem.get(k2c)
             nv = cb * v if w is None else w + cb * v
             if nv:
                 rem[k2c] = nv
             elif k2c in rem:
                 del rem[k2c]
-    if any(rem.values()):
-        return None
-
-    # common denominator dn * c_a^d; level i carries an extra c_a^i upstairs
-    out_ints: dict[int, int] = {}
-    for i, cur in out_levels:
-        scale = dd * pow_ca[i]
-        for k, v in cur.items():
-            if v:
-                out_ints[k] = v * scale
-    den_out, out_ints = _reduce_int_form(dn * top, out_ints)
-    p = Poly._raw(n, _frac_dict(out_ints, den_out))
-    p._intform = (den_out, out_ints)
-    return p
+    return None if rem else quotient
 
 
-def _divide_general(num: Poly, div: Poly) -> Poly | None:
-    """Leading-term division with a lazy max-heap over the working remainder."""
-    n = num.nvars
+def _divide_general(n: int, nt: dict[int, int], dt: dict[int, int]) -> dict[int, int] | None:
+    """Leading-term division by a primitive divisor, with a lazy max-heap
+    over the working remainder."""
     _, _, guard = _layout(n)
-    kd = max(div._t)
-    cd = div._t[kd]
-    rest = [(k, c) for k, c in sorted(div._t.items(), reverse=True) if k != kd]
+    kd = max(dt)
+    cd = dt[kd]
+    rest = [(k, c) for k, c in sorted(dt.items(), reverse=True) if k != kd]
 
-    rem = dict(num._t)
+    rem = dict(nt)
     heap = [-k for k in rem]
     heapq.heapify(heap)
-    q: dict[int, Fraction] = {}
+    q: dict[int, int] = {}
     while heap:
         k = -heapq.heappop(heap)
         c = rem.pop(k, None)
@@ -707,8 +670,10 @@ def _divide_general(num: Poly, div: Poly) -> Poly | None:
             continue
         if (((k | guard) - kd) & guard) != guard:
             return None
+        cq, r = divmod(c, cd)
+        if r:
+            return None
         kq = k - kd
-        cq = c / cd
         q[kq] = cq
         for kr, cr in rest:
             kk = kq + kr
@@ -722,27 +687,28 @@ def _divide_general(num: Poly, div: Poly) -> Poly | None:
                     rem[kk] = nv
                 else:
                     del rem[kk]
-    if rem:
-        return None
-    return Poly._raw(n, q)
+    return q
 
 
 def is_constant_multiple(a: Poly, b: Poly) -> Fraction | None:
     """Nonzero c with a == c*b, 1 for the pair of zeros, None otherwise."""
     if a.nvars != b.nvars:
         raise ValueError("variable count mismatch")
-    if not a._t and not b._t:
+    ta, tb = a._t, b._t
+    if not ta and not tb:
         return _ONE
-    if not a._t or not b._t or len(a._t) != len(b._t):
+    if not ta or not tb or len(ta) != len(tb):
         return None
-    ka, kb = max(a._t), max(b._t)
+    ka, kb = max(ta), max(tb)
     if ka != kb:
         return None
-    c = a._t[ka] / b._t[kb]
-    for k, v in b._t.items():
-        if a._t.get(k) != c * v:
+    # a == c*b iff the integer numerators are proportional term by term
+    la, lb = ta[ka], tb[kb]
+    for k, v in tb.items():
+        w = ta.get(k)
+        if w is None or w * lb != v * la:
             return None
-    return c
+    return Fraction(la * b._d, lb * a._d)
 
 
 # ---------------------------------------------------------------------------
@@ -754,38 +720,36 @@ def canonical_factor(p: Poly) -> tuple[Poly, Fraction]:
     """Scale p to integer coprime coefficients with positive leading one.
 
     Returns (canonical, scale) with p == scale * canonical.  Canonical
-    factors are what denominator maps are keyed by.
+    factors are what denominator maps are keyed by; their denominator is 1.
     """
     if not p._t:
         raise ValueError("zero polynomial cannot be a factor")
-    den = 1
-    for c in p._t.values():
-        d = c.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    g = 0
-    for c in p._t.values():
-        g = math.gcd(g, c.numerator * (den // c.denominator))
-    scale = Fraction(g, den)
+    g = math.gcd(*p._t.values())
     if p._t[max(p._t)] < 0:
-        scale = -scale
+        g = -g
+    scale = Fraction(g, p._d)
     # primitive integer input (a stored factor, or its image under a signed
     # permutation) needs no rescaling
     if scale == 1:
         return p, scale
     if scale == -1:
         return -p, scale
-    inv = 1 / scale
-    return Poly._raw(p.nvars, {k: c * inv for k, c in p._t.items()}), scale
+    return Poly._raw(p.nvars, {k: v // g for k, v in p._t.items()}, 1), scale
 
 
 def factor_sort_key(f: Poly):
-    """Deterministic total order on factor polynomials (graded-lex on terms)."""
+    """Deterministic total order on canonical factors (graded-lex on terms)."""
     return tuple(sorted(f._t.items(), reverse=True))
 
 
 def sorted_factors(factors: Iterable[Poly]) -> list[Poly]:
     return sorted(factors, key=factor_sort_key, reverse=True)
+
+
+@functools.lru_cache(maxsize=256)
+def _factor_power(f: Poly, e: int) -> Poly:
+    """f**e for a canonical factor; products reuse the same few powers."""
+    return f**e
 
 
 def expand_factor_powers(nvars: int, powers: Mapping[Poly, int]) -> Poly:
@@ -794,7 +758,7 @@ def expand_factor_powers(nvars: int, powers: Mapping[Poly, int]) -> Poly:
     for f in sorted_factors(powers):
         e = powers[f]
         if e:
-            acc = acc * f**e
+            acc = acc * _factor_power(f, e)
     return acc
 
 
@@ -1283,7 +1247,7 @@ def _attach(poly: Poly, base: Mapping[Poly, int], content: Mapping[Poly, int], n
         if e > 0:
             den[f] = e
         elif e < 0:
-            num = num * f ** (-e)
+            num = num * _factor_power(f, -e)
     return ArrFrac(num, den)
 
 

@@ -574,7 +574,6 @@ def verify_nesting(system: CoxeterSystem, m: int) -> CheckRecord:
                         {"reason": "det P_{m-1} is not a multiple of Q^{m-1}"}), t0
         )
     scaled = adj @ cur.matrix
-    inv_c = 1 / c
     for i in range(system.rank):
         for j in range(system.rank):
             val = scaled[i][j]
@@ -591,7 +590,6 @@ def verify_nesting(system: CoxeterSystem, m: int) -> CheckRecord:
                                  "non_divisible_by": str(f)}), t0
                         )
                     val = nxt
-            _ = val * inv_c  # exact polynomial coordinate
     return _finish(CheckRecord("nesting", "pass", {"m": m}), t0)
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the exact polynomial layer."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -181,3 +182,107 @@ def test_serialization_roundtrip():
 def test_euler_identity_example():
     q = x1 * x2**3 - x1**3 * x2
     assert x1 * q.diff(0) + x2 * q.diff(1) == 4 * q
+
+
+# -- the integer representation: integer terms over one denominator ----------
+
+
+def assert_canonical(p):
+    """Integer terms over one positive denominator, coprime to all of them."""
+    assert type(p._d) is int and p._d > 0
+    assert all(type(v) is int and v for v in p._t.values())
+    assert math.gcd(p._d, *p._t.values()) == 1
+    if not p:
+        assert p._d == 1
+
+
+half = Fraction(1, 2)
+a = x1 * Fraction(2, 3) - x2 * Fraction(5, 6)
+b = x1 * x2 * Fraction(3, 4) + Fraction(1, 6)
+
+
+@pytest.mark.parametrize("p", [
+    a + b, a - b, b - b, a + a, a * Fraction(3, 2), a * -6, a * 0, -a,
+    a * b, a**3, (x1 * Fraction(1, 6)) + (x1 * Fraction(1, 3)),
+    (x1 * half + x2 * Fraction(1, 3)) - x2 * Fraction(1, 3),
+    (x1**2 * half).diff(0), b.diff(0), (x1**3 * Fraction(1, 6)).diff(0),
+    a.substitute_linear([[0, -1], [1, 0]]),
+    a.substitute_linear([[half, 1], [Fraction(1, 3), 2]]),
+    b.substitute_polys([a, x2 * 4]),
+    canonical_factor(a)[0],
+], ids=lambda p: str(p))
+def test_operations_keep_the_canonical_form(p):
+    assert_canonical(p)
+
+
+@pytest.mark.parametrize("num,div", [
+    # constant divisors, with a denominator and a negative sign
+    (a * b, Poly.const(2, Fraction(-3, 4))),
+    (a, Poly.const(2, 6)),
+    # monomial divisors
+    (x1**2 * x2 * Fraction(2, 3), x1 * x2 * Fraction(4, 5)),
+    (x1**3 * (x1**2 - 5 * x2**2), -2 * x1**3),
+    # linear forms: non-primitive, fractional, leading coefficient not 1
+    ((x1 - 2 * x2) * (x1 + x2) * Fraction(3, 7), (x1 - 2 * x2) * Fraction(6, 5)),
+    ((3 * x1 + 2 * x2) ** 2 * b, 3 * x1 + 2 * x2),
+    (a * (x2 - x1), x2 - x1),
+    # general divisors, the kernel of the dihedral orbit factors
+    (b * (3 * x1**2 - x2**2), (3 * x1**2 - x2**2) * Fraction(2, 3)),
+    ((3 * x1**2 - x2**2) * Fraction(1, 3), 3 * x1**2 - x2**2),
+    (a * (x1**3 - 3 * x1 * x2**2 + x2**3), -(x1**3 - 3 * x1 * x2**2 + x2**3)),
+])
+def test_division_paths_keep_the_canonical_form(num, div):
+    q = divide_exact(num, div)
+    assert q is not None and q * div == num
+    assert_canonical(q)
+
+
+@pytest.mark.parametrize("num,div", [
+    (x1**2 + x2**2, 2 * x1 + x2),
+    (x1**2 * Fraction(1, 3), 3 * x1**2 - x2**2),
+    # the leading coefficient 2 does not divide 3, though every key does
+    (3 * x1 + 1, 2 * x1 + 1),
+    (x1 * x2 + 1, x1 + x2),
+    (x1 * x2, x1**2),
+])
+def test_division_paths_reject_non_multiples(num, div):
+    assert divide_exact(num, div) is None
+
+
+def test_equal_polynomials_from_different_routes():
+    y = Poly.variable(1, 0)
+    p, q = Poly(1, {(1,): Fraction(2, 4)}), y * Fraction(1, 2)
+    assert p == q and hash(p) == hash(q)
+    r = (y * Fraction(1, 6) + y * Fraction(1, 3)) * (y + 1) - y**2 * half
+    assert r == q and hash(r) == hash(q)
+    assert Poly(2, {(0, 0): 0}) == Poly.zero(2) == a - a
+    assert hash(Poly(2, {(0, 0): 0})) == hash(a - a)
+
+
+def test_boundary_values_are_fractions():
+    p = x1**2 * Fraction(-3, 2) + x2 * 4
+    assert all(type(c) is Fraction for _, c in p.items())
+    assert p.items() == [((2, 0), Fraction(-3, 2)), ((0, 1), Fraction(4))]
+    assert type(p.coefficient((0, 1))) is Fraction and p.coefficient((0, 1)) == 4
+    assert type(p.coefficient((1, 1))) is Fraction and p.coefficient((1, 1)) == 0
+    assert p.leading() == ((2, 0), Fraction(-3, 2))
+    for c in (Fraction(5, 3), Fraction(7), Fraction(0)):
+        value = Poly.const(2, c).constant_value()
+        assert type(value) is Fraction and value == c
+    assert type(is_constant_multiple(p * Fraction(2, 9), p)) is Fraction
+    assert is_constant_multiple(p * Fraction(2, 9), p) == Fraction(2, 9)
+    assert canonical_factor(p) == (3 * x1**2 - 8 * x2, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("p,text", [
+    (x1**2 * Fraction(-3, 2) + x1 * x2 - x2 + Fraction(5, 4),
+     "-3/2*x1^2 + x1*x2 - x2 + 5/4"),
+    (-x1 + 1, "-x1 + 1"),
+    (x1 * Fraction(1, 2) - x2**3 * Fraction(-7, 3), "7/3*x2^3 + 1/2*x1"),
+    (Poly.const(2, Fraction(-1, 2)), "-1/2"),
+    (Poly.const(2, -1), "-1"),
+    (x1 * x2 * 12 - 1, "12*x1*x2 - 1"),
+    (Poly.zero(2), "0"),
+])
+def test_rendering_bytes(p, text):
+    assert str(p) == text
