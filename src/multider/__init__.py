@@ -2,7 +2,7 @@
 
 Builds the polynomial matrices P_m whose columns form free bases of the
 modules D^(m) of derivations vanishing to order m along every reflecting
-hyperplane, and certifies them (determinant criterion, per-hyperplane
+hyperplane, and certifies them (Saito's criterion, per-hyperplane
 membership, degree tables, equivariance, the invariant B-matrices and
 their recursions) in exact rational arithmetic.
 """

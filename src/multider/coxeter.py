@@ -21,7 +21,10 @@ at construction time rather than trusted:
 * the Gram matrix is symmetric positive definite and invariant under the
   generators;
 * Q is anti-invariant under each generator (tested factor by factor);
-* det J(f) is a nonzero constant multiple of Q (the constant is stored).
+* det J(f) is a nonzero constant multiple of Q (the constant is stored),
+  by Saito's criterion on P_1 = Gram J(f) (``saito``): its columns are in
+  D(A) (by division, or by the reflection argument in ``_certify``), their
+  degrees m_j sum to |A|, and det J(f) is nonzero at one point.
 
 Conventions worth knowing when comparing output against other sources:
 hyperplane forms are normalised so the first nonzero coefficient is +1,
@@ -52,12 +55,11 @@ from .exactpoly import (
     Poly,
     canonical_factor,
     divide_exact,
-    is_constant_multiple,
-    mat_det_adj,
     rat_det,
     rat_mat_mul,
     sorted_factors,
 )
+from .saito import membership_failure, membership_witness, saito_constant
 
 __all__ = [
     "CoxeterSystem",
@@ -88,7 +90,7 @@ class CoxeterSystem:
         "h",
         "gram",
         "generators",
-        "q_poly",
+        "_q_poly",
         "det_jf_constant",
         "orbit_level",
     )
@@ -107,16 +109,23 @@ class CoxeterSystem:
         self.generators = tuple(
             tuple(tuple(Fraction(v) for v in row) for row in g) for g in generators
         )
-        q = Poly.const(rank, 1)
-        for f in self.factors:
-            q = q * f
-        self.q_poly = q
+        self._q_poly = None
         self.orbit_level = any(f.degree() > 1 for f in self.factors)
         self.det_jf_constant = _certify(self)
 
     @property
     def nvars(self) -> int:
         return self.rank
+
+    @property
+    def q_poly(self) -> Poly:
+        """Q expanded, built on first use: no certificate needs it."""
+        if self._q_poly is None:
+            q = Poly.const(self.rank, 1)
+            for f in self.factors:
+                q = q * f
+            self._q_poly = q
+        return self._q_poly
 
     @property
     def num_hyperplanes(self) -> int:
@@ -396,35 +405,86 @@ def _certify(system: CoxeterSystem) -> Fraction:
         if rat_det(minor) <= 0:
             raise CatalogError(f"{system.key}: Gram matrix not positive definite")
 
+    images, mirrors = [], set()
     for g in system.generators:
         if rat_mat_mul(rat_mat_mul(_transpose(g), system.gram), g) != system.gram:
             raise CatalogError(f"{system.key}: generator does not preserve the form")
         for f in system.invariants:
             if f.substitute_linear(g) != f:
                 raise CatalogError(f"{system.key}: invariant not fixed by a generator")
-        _check_anti_invariance(system, g)
+        image = _check_anti_invariance(system, g)
+        images.append({f: h for f, (h, _) in image.items()})
+        # g preserves a positive definite form, so its eigenvalues have
+        # modulus 1; with one of them -1 (g.alpha = -alpha below), trace
+        # l - 2 forces all the others to be 1: g is a reflection
+        if sum(g[i][i] for i in range(ell)) == ell - 2:
+            mirrors.update(f for f, (h, scale) in image.items() if h == f and scale == -1)
 
-    det, _ = mat_det_adj(system.jacobian_of_invariants(), det_only=True)
-    const = is_constant_multiple(det, system.q_poly)
-    if const is None or const == 0:
-        raise CatalogError(f"{system.key}: det J(f) is not a constant multiple of Q")
-    return const
+    # Saito's criterion at m = 1 on P_1 = Gram J(f), whose column j has
+    # degree m_j: membership, sum m_j = |A| (checked above) and one
+    # evaluation give det P_1 = det Gram det J(f) = c Q.  With
+    # theta_j(alpha) = a^T Gram grad f_j for alpha = a^T x, a generator g
+    # fixing f_j and the form gives theta_j(g.alpha) = g.theta_j(alpha), so
+    # membership along alpha carries over to the orbit of alpha.  If g is
+    # the reflection in alpha (g.alpha = -alpha), theta_j(alpha) is
+    # anti-invariant under g, so it vanishes on the mirror and alpha
+    # divides it.  Division is left for the orbits without such a mirror.
+    jf = system.jacobian_of_invariants()
+    representatives = _unmirrored_orbits(system.factors, images, mirrors)
+    if representatives:
+        gram = system.gram
+        orthonormal = all(gram[i][j] == (i == j) for i in range(ell) for j in range(ell))
+        p1 = jf if orthonormal else system.gram_matrix() @ jf
+        failure = membership_failure(representatives, p1, 1)
+        if failure is not None:
+            raise CatalogError(f"{system.key}: a column of Gram J(f) is not in D(A): "
+                               f"{membership_witness(representatives, failure)}")
+    # J(f) has the column degrees of P_1 and det J(f)(p) != 0 iff det P_1(p) != 0
+    constant, witness = saito_constant(jf, system.factors, 1)
+    if constant is None:
+        raise CatalogError(
+            f"{system.key}: det J(f) is not a nonzero constant multiple of Q: {witness}"
+        )
+    return constant
 
 
-def _check_anti_invariance(system: CoxeterSystem, g) -> None:
-    """Q(g x) = det(g) Q(x), tested factor by factor.
+def _check_anti_invariance(system: CoxeterSystem, g) -> dict[Poly, tuple[Poly, Fraction]]:
+    """Q(g x) = det(g) Q(x), tested factor by factor; returns each factor's
+    image as (canonical factor, scale).
 
     Each factor's image is scale * canonical factor; by unique
     factorisation Q is anti-invariant iff the canonical images permute
     the stored factors and the scales multiply to det(g).  This avoids
     substituting the expanded Q.
     """
-    images = [canonical_factor(f.substitute_linear(g)) for f in system.factors]
+    images = {f: canonical_factor(f.substitute_linear(g)) for f in system.factors}
     scale = Fraction(1)
-    for _, s in images:
+    for _, s in images.values():
         scale *= s
-    if {f for f, _ in images} != set(system.factors) or scale != rat_det(g):
+    if {f for f, _ in images.values()} != set(system.factors) or scale != rat_det(g):
         raise CatalogError(f"{system.key}: Q not anti-invariant under a generator")
+    return images
+
+
+def _unmirrored_orbits(factors, images: list[dict[Poly, Poly]], mirrors) -> list[Poly]:
+    """The first factor, in stored order, of each orbit of the generators
+    that contains no mirror of a stored reflection."""
+    seen: set[Poly] = set()
+    representatives = []
+    for f in factors:
+        if f in seen:
+            continue
+        orbit, stack = {f}, [f]
+        while stack:
+            h = stack.pop()
+            for image in images:
+                if image[h] not in orbit:
+                    orbit.add(image[h])
+                    stack.append(image[h])
+        seen |= orbit
+        if not orbit & mirrors:
+            representatives.append(f)
+    return representatives
 
 
 def _transpose(g):

@@ -21,6 +21,10 @@ From these the module constructs:
   Gram J(D^k x)^{-1} J(f) = P_{2k} J(f) is the odd step itself.  Columns
   are homogeneous of degree k*h (even m) or k*h + m_j (odd m), k = m // 2.
 
+* ``saito_certificate``: Saito's criterion on the memoised P_m
+  (membership, degree sum, one evaluation; see ``saito``), computed once
+  per P_m.  Its constant is det P_m / Q^m.
+
 * ``jdkx_inverse`` and ``jdkx_det_constant``: J(D^k x)^{-1} = Gram^{-1}
   P_{2k} and det J(D^k x) * Q^(2k) = det Gram / (det P_{2k} / Q^(2k)),
   both consequences of the certified product identity.
@@ -47,11 +51,11 @@ from .exactpoly import (
     ArrFrac,
     Matrix,
     Poly,
-    is_constant_multiple,
     mat_det_adj,
     rat_det,
     rat_mat_inv,
 )
+from .saito import Certificate, certify
 
 __all__ = [
     "PipelineError",
@@ -65,6 +69,8 @@ __all__ = [
     "jdkx_det_constant",
     "jdkx_inverse",
     "p_matrix",
+    "step_matrix",
+    "saito_certificate",
     "certify_direct_formula",
     "b_matrix",
     "clear_caches",
@@ -80,10 +86,11 @@ _dkx_cache: dict[tuple[str, int], tuple[ArrFrac, ...]] = {}
 _jdkx_cache: dict[tuple[str, int], Matrix] = {}
 _pm_cache: dict[tuple[str, int], "DerivationBasis"] = {}
 _b_cache: dict[tuple[str, int, str], "BMatrix"] = {}
+_saito_cache: dict[tuple[str, int], Certificate] = {}
 
 
 def clear_caches() -> None:
-    for cache in (_dx_cache, _dkx_cache, _jdkx_cache, _pm_cache, _b_cache):
+    for cache in (_dx_cache, _dkx_cache, _jdkx_cache, _pm_cache, _b_cache, _saito_cache):
         cache.clear()
 
 
@@ -111,12 +118,9 @@ def primitive_dx(system: CoxeterSystem) -> tuple[ArrFrac, ...]:
     if cached is not None:
         return cached
     ell = system.rank
-    jf = system.jacobian_of_invariants()
-    det, adj = mat_det_adj(jf)
-    c = is_constant_multiple(det, system.q_poly)
-    if c is None or c == 0:
-        raise PipelineError(f"{system.key}: det J(f) is not a constant multiple of Q")
-    inv_c = 1 / c
+    # det J(f) = c Q with c certified when the catalog entry was built
+    _, adj = mat_det_adj(system.jacobian_of_invariants())
+    inv_c = 1 / system.det_jf_constant
     dx = tuple(
         ArrFrac(adj[ell - 1][j] * inv_c, system.q_factor_map) for j in range(ell)
     )
@@ -234,19 +238,10 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
     k = m // 2
     if m == 0:
         mat = system.gram_matrix()
-    elif m % 2 == 1:
-        mat = p_matrix(system, m - 1).matrix @ system.jacobian_of_invariants()
     else:
-        det_b, adj_b = mat_det_adj(b_matrix(system, k, route="closed_form").matrix)
-        if not det_b.is_constant():
-            raise PipelineError(f"{system.key}: det B^({k}) is not constant: {det_b}")
-        c = det_b.constant_value()
-        if c == 0:
-            raise PipelineError(f"{system.key}: B^({k}) is singular")
-        inv_b = adj_b.map(lambda p: p * (1 / c))
-        p1 = p_matrix(system, 1).matrix
-        mat = -(p_matrix(system, m - 1).matrix @ inv_b @ p1.transpose())
-        certify_direct_formula(system, k, mat)
+        mat = p_matrix(system, m - 1).matrix @ step_matrix(system, m)
+        if m % 2 == 0:
+            certify_direct_formula(system, k, mat)
     degrees = _validate_columns(system, m, mat)
     basis = DerivationBasis(system.key, m, k, mat, degrees)
     _pm_cache[(system.key, m)] = basis
@@ -256,6 +251,38 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
 # ``perfbench/tracer.py`` looks this name up; the inductive route is now the
 # only one, so it is ``p_matrix`` itself.
 p_matrix_recursive = p_matrix
+
+
+def step_matrix(system: CoxeterSystem, m: int) -> Matrix:
+    """The polynomial matrix C_m with P_m = P_{m-1} C_m, m >= 1: J(f) for
+    odd m, -(B^(m/2))^{-1} P_1^T for even m (det B^(m/2) is a nonzero
+    constant, so the inverse is polynomial)."""
+    if m % 2 == 1:
+        return system.jacobian_of_invariants()
+    k = m // 2
+    det_b, adj_b = mat_det_adj(b_matrix(system, k, route="closed_form").matrix)
+    if not det_b.is_constant():
+        raise PipelineError(f"{system.key}: det B^({k}) is not constant: {det_b}")
+    c = det_b.constant_value()
+    if c == 0:
+        raise PipelineError(f"{system.key}: B^({k}) is singular")
+    return -(adj_b.map(lambda p: p * (1 / c)) @ p_matrix(system, 1).matrix.transpose())
+
+
+def saito_certificate(system: CoxeterSystem, basis: DerivationBasis) -> Certificate:
+    """Saito's criterion for basis (``saito.certify``), once per memoised
+    P_m.  A basis that is not the memoised P_m (a doctored copy) is
+    certified afresh and not stored."""
+    key = (system.key, basis.m)
+    memoised = _pm_cache.get(key) is basis
+    if memoised:
+        cached = _saito_cache.get(key)
+        if cached is not None:
+            return cached
+    cert = certify(basis.matrix, system.factors, basis.m)
+    if memoised:
+        _saito_cache[key] = cert
+    return cert
 
 
 def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> None:
@@ -280,24 +307,16 @@ def jdkx_inverse(system: CoxeterSystem, k: int) -> Matrix:
     return gram_inv @ p_matrix(system, 2 * k).matrix
 
 
-def jdkx_det_constant(system: CoxeterSystem, k: int,
-                      p_constant: Fraction | None = None) -> Fraction:
-    """The constant det J(D^k x) * Q^(2k) = det Gram / (det P_{2k} / Q^(2k)).
-
-    A caller that already certified det P_{2k} = c * Q^(2k) for the memoised
-    P_{2k} (the Ziegler constant) passes c as ``p_constant``, which saves
-    a second determinant of the same matrix.
-    """
-    c = p_constant
-    if c is None:
-        det_p, _ = mat_det_adj(p_matrix(system, 2 * k).matrix, det_only=True)
-        c = is_constant_multiple(det_p, system.q_poly ** (2 * k))
-        if not c:
-            raise PipelineError(
-                f"{system.key}: det P_{2 * k} is not a nonzero constant multiple of "
-                f"Q^{2 * k}: {det_p}"
-            )
-    return rat_det(system.gram) / c
+def jdkx_det_constant(system: CoxeterSystem, k: int) -> Fraction:
+    """The constant det J(D^k x) * Q^(2k) = det Gram / (det P_{2k} / Q^(2k)),
+    with det P_{2k} / Q^(2k) the constant of the memoised certificate."""
+    cert = saito_certificate(system, p_matrix(system, 2 * k))
+    if cert.constant is None:
+        raise PipelineError(
+            f"{system.key}: det P_{2 * k} is not a nonzero constant multiple of "
+            f"Q^{2 * k}: {cert.witness}"
+        )
+    return rat_det(system.gram) / cert.constant
 
 
 # ---------------------------------------------------------------------------

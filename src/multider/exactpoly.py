@@ -11,8 +11,8 @@ Representations:
   positive common denominator, coprime to all of them, so every kernel
   runs on integers; ``fractions.Fraction`` appears only where values enter
   or leave (the constructor, ``items``, ``coefficient``, ``leading``,
-  ``constant_value``, rendering, and the scales returned by
-  ``is_constant_multiple`` and ``canonical_factor``).  Terms are stored in
+  ``constant_value``, ``product_at``, ``det_at``, rendering, and the scales
+  returned by ``is_constant_multiple`` and ``canonical_factor``).  Terms are stored in
   a dict keyed by a packed integer encoding of the exponent vector.  The
   packing puts the total degree in the most significant field, followed
   by the exponents of x1, x2, ... in order, so comparing packed keys as
@@ -29,15 +29,13 @@ Representations:
   arrangement factor.
 
 * ``Matrix``: small dense matrices over ``Poly`` or ``ArrFrac``, with an
-  exact determinant/adjugate routine (``mat_det_adj``).  A product with a
-  fraction entry anywhere forms each entry as one sum of unreduced
-  products over their common denominator and reduces it once; the reduced
-  form is canonical, so this equals reducing term by term.  The routine
-  clears denominators, runs a fraction-free cofactor expansion, and
-  reduces every intermediate minor against the arrangement factors.  For
-  the Jacobian matrices of the pipeline those minors are divisible by
-  high powers of the defining polynomial, so reducing eagerly is what
-  keeps intermediate expression swell under control.
+  exact determinant/adjugate routine for polynomial matrices
+  (``mat_det_adj``, a fraction-free cofactor expansion with memoised
+  minors).  A product with a fraction entry anywhere forms each entry as
+  one sum of unreduced products over their common denominator and
+  reduces it once; the reduced form is canonical, so this equals reducing
+  term by term.  No certificate takes the determinant of a large
+  polynomial matrix: ``saito`` evaluates it at one point instead.
 
 All values are immutable after construction; all operations are pure.
 """
@@ -65,6 +63,9 @@ __all__ = [
     "rat_mat_mul",
     "rat_mat_inv",
     "rat_det",
+    "det_at",
+    "product_at",
+    "binary_components",
 ]
 
 _ZERO = Fraction(0)
@@ -443,6 +444,39 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _numerator_at(p: Poly, powers: list[list[int]], point: Sequence[int]) -> int:
+    """The integer numerator of p at an integer point; powers[i] caches the
+    powers of point[i] and is shared between calls at the same point."""
+    shifts, _, _ = _layout(p.nvars)
+    total = 0
+    for k, c in p._t.items():
+        for s, x, pw in zip(shifts, point, powers):
+            e = (k >> s) & _MASK
+            if e:
+                while len(pw) <= e:
+                    pw.append(pw[-1] * x)
+                c *= pw[e]
+        total += c
+    return total
+
+
+def binary_components(p: Poly) -> tuple[dict[int, list[int]], int]:
+    """The homogeneous components of a polynomial in x1, x2 at x2 = 1, as
+    dense integer coefficient lists in t = x1 by degree, over p's
+    denominator."""
+    if p.nvars != 2:
+        raise ValueError("binary_components needs a polynomial in two variables")
+    shifts, deg_shift, _ = _layout(2)
+    parts: dict[int, list[int]] = {}
+    for k, c in p._t.items():
+        e1 = (k >> shifts[0]) & _MASK
+        coeffs = parts.setdefault(k >> deg_shift, [])
+        if len(coeffs) <= e1:
+            coeffs.extend([0] * (e1 + 1 - len(coeffs)))
+        coeffs[e1] = c
+    return parts, p._d
 
 
 def _over_lcm(fracs: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
@@ -866,9 +900,6 @@ class ArrFrac:
             e * f.degree() for f, e in self.den.items()
         )
 
-    def pole_order(self, factor: Poly) -> int:
-        return self.den.get(factor, 0)
-
     # -- equality -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -1176,148 +1207,67 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 
-def mat_det_adj(matrix: Matrix, det_only: bool = False):
-    """Exact determinant and adjugate with det * M^{-1} == adj.
+def mat_det_adj(matrix: Matrix) -> tuple[Poly, Matrix]:
+    """Exact determinant and adjugate of a square polynomial matrix, with
+    det * M^{-1} == adj.
 
-    For ArrFrac matrices the denominators are cleared first (per-factor
-    maximum over all entries), the cofactor expansion runs fraction-free
-    over polynomials with every intermediate minor reduced against the
-    denominator factors, and the factored denominators are reattached at
-    the end.  A singular matrix yields det == 0 with the classical
-    adjugate still valid.
-
-    Returns (det, adj); adj is None when det_only is set.
+    A fraction-free cofactor expansion along the first remaining row,
+    each minor computed once.  A singular matrix yields det == 0 with the
+    classical adjugate still valid.  A matrix over ArrFrac is converted by
+    the caller (``Matrix.to_poly``); every input in the pipeline is
+    polynomial.
     """
     if not matrix.is_square():
         raise ValueError("determinant of a non-square matrix")
+    if matrix.has_frac():
+        raise TypeError("mat_det_adj takes a polynomial matrix; convert with to_poly")
     n = matrix.rows
-    frac_input = matrix.has_frac()
-
-    if frac_input:
-        m = matrix.to_frac()
-        nvars = m[0][0].nvars
-        nums, clear = _common_denominator(nvars, [(v.num, v.den) for _, _, v in m.entries()])
-        cleared = [nums[i * n:(i + 1) * n] for i in range(n)]
-        factors = sorted_factors(clear)
-    else:
-        nvars = matrix[0][0].nvars
-        cleared = [[matrix[i][j] for j in range(n)] for i in range(n)]
-        clear = {}
-        factors = []
-
-    core = _MinorTable(cleared, n, nvars, factors)
+    minor = _minor_table(matrix)
     full = (1 << n) - 1
-    det_poly, det_content = core.minor(full, full)
-
-    if frac_input:
-        det = _attach(det_poly, {f: n * e for f, e in clear.items()}, det_content, nvars)
-    else:
-        det = det_poly * expand_factor_powers(nvars, det_content)
-
-    if det_only:
-        return det, None
-
+    det = minor(full, full)
     if n == 1:
-        one = Poly.const(nvars, 1)
-        adj = Matrix([[ArrFrac.from_poly(one) if frac_input else one]])
-        return det, adj
-
-    base = {f: (n - 1) * e for f, e in clear.items()}
+        return det, Matrix([[Poly.const(det.nvars, 1)]])
     adj_rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            sub_poly, sub_content = core.minor(full ^ (1 << j), full ^ (1 << i))
-            if (i + j) & 1:
-                sub_poly = -sub_poly
-            if frac_input:
-                row.append(_attach(sub_poly, base, sub_content, nvars))
-            else:
-                row.append(sub_poly * expand_factor_powers(nvars, sub_content))
+            sub = minor(full ^ (1 << j), full ^ (1 << i))
+            row.append(-sub if (i + j) & 1 else sub)
         adj_rows.append(row)
     return det, Matrix(adj_rows)
 
 
-def _attach(poly: Poly, base: Mapping[Poly, int], content: Mapping[Poly, int], nvars: int) -> ArrFrac:
-    """Build poly * prod f^content / prod f^base as a reduced ArrFrac."""
-    den: dict[Poly, int] = {}
-    num = poly
-    for f in set(base) | set(content):
-        e = base.get(f, 0) - content.get(f, 0)
-        if e > 0:
-            den[f] = e
-        elif e < 0:
-            num = num * _factor_power(f, -e)
-    return ArrFrac(num, den)
+def _minor_table(matrix: Matrix):
+    """The minor on a row mask and a column mask, memoised across calls."""
+    memo: dict[tuple[int, int], Poly] = {}
+    zero = Poly.zero(matrix[0][0].nvars)
 
-
-class _MinorTable:
-    """Memoised cofactor expansion over a polynomial matrix.
-
-    Minors are stored reduced: the pair (poly, content) stands for
-    poly * prod f^content[f].  Reducing at every level is what exploits the
-    structural divisibility of the pipeline's Jacobian minors by powers of
-    the defining polynomial.
-    """
-
-    def __init__(self, entries, n, nvars, factors):
-        self.e = entries
-        self.n = n
-        self.nvars = nvars
-        self.factors = factors
-        self.memo: dict[tuple[int, int], tuple[Poly, dict[Poly, int]]] = {}
-
-    def minor(self, rmask: int, cmask: int) -> tuple[Poly, dict[Poly, int]]:
-        got = self.memo.get((rmask, cmask))
+    def minor(rmask: int, cmask: int) -> Poly:
+        got = memo.get((rmask, cmask))
         if got is not None:
             return got
         r = (rmask & -rmask).bit_length() - 1
         if rmask == (1 << r):
-            c = (cmask & -cmask).bit_length() - 1
-            result = (self.e[r][c], {})
+            result = matrix[r][(cmask & -cmask).bit_length() - 1]
         else:
             sub_r = rmask ^ (1 << r)
-            terms = []
+            result = zero
             sign = 1
             cm = cmask
             while cm:
                 c = (cm & -cm).bit_length() - 1
                 cm &= cm - 1
-                entry = self.e[r][c]
+                entry = matrix[r][c]
                 if entry:
-                    sp, sc = self.minor(sub_r, cmask ^ (1 << c))
-                    if sp:
-                        terms.append((sign, entry, sp, sc))
+                    sub = minor(sub_r, cmask ^ (1 << c))
+                    if sub:
+                        t = entry * sub
+                        result = result + t if sign > 0 else result - t
                 sign = -sign
-            if not terms:
-                result = (Poly.zero(self.nvars), {})
-            else:
-                common: dict[Poly, int] = {}
-                for f in self.factors:
-                    m = min(sc.get(f, 0) for _, _, _, sc in terms)
-                    if m:
-                        common[f] = m
-                acc = Poly.zero(self.nvars)
-                for sign, entry, sp, sc in terms:
-                    t = entry * sp
-                    extra = {f: e - common.get(f, 0) for f, e in sc.items() if e - common.get(f, 0)}
-                    if extra:
-                        t = t * expand_factor_powers(self.nvars, extra)
-                    acc = acc + t if sign > 0 else acc - t
-                content = dict(common)
-                if acc:
-                    for f in self.factors:
-                        while True:
-                            q = divide_exact(acc, f)
-                            if q is None:
-                                break
-                            acc = q
-                            content[f] = content.get(f, 0) + 1
-                else:
-                    content = {}
-                result = (acc, content)
-        self.memo[(rmask, cmask)] = result
+        memo[(rmask, cmask)] = result
         return result
+
+    return minor
 
 
 # ---------------------------------------------------------------------------
@@ -1326,11 +1276,23 @@ class _MinorTable:
 
 
 def poly_to_records(p: Poly) -> list[dict]:
-    """Terms as JSON-ready records, leading term first (graded-lex order)."""
-    return [
-        {"coefficient": str(c), "exponents": list(exps)}
-        for exps, c in p.items()
-    ]
+    """Terms as JSON-ready records, leading term first (graded-lex order).
+
+    Each coefficient prints as str(Fraction(v, d)) would, formatted from
+    the integer form: a gcd is taken only when the denominator is not 1.
+    """
+    shifts, _, _ = _layout(p.nvars)
+    t, d = p._t, p._d
+    out = []
+    for k in sorted(t, reverse=True):
+        v = t[k]
+        if d == 1:
+            text = str(v)
+        else:
+            g = math.gcd(v, d)
+            text = str(v // g) if g == d else f"{v // g}/{d // g}"
+        out.append({"coefficient": text, "exponents": list(_unpack(k, shifts))})
+    return out
 
 
 def poly_from_records(records: Iterable[Mapping], nvars: int) -> Poly:
@@ -1349,9 +1311,50 @@ def poly_from_records(records: Iterable[Mapping], nvars: int) -> Poly:
 def rat_mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), _ZERO) for j in range(m))
+        tuple(sum((a[i][t] * b[t][j] for t in range(k) if a[i][t] and b[t][j]), _ZERO)
+              for j in range(m))
         for i in range(n)
     )
+
+
+def product_at(polys: Iterable[Poly], point: Sequence[int]) -> Fraction:
+    """The value of the product of polys at an integer point, on the integer
+    form: one Fraction for the whole product."""
+    powers = [[1] for _ in point]
+    num = den = 1
+    for p in polys:
+        num *= _numerator_at(p, powers, point)
+        den *= p._d
+    return Fraction(num, den)
+
+
+def det_at(matrix: Matrix, point: Sequence[int]) -> Fraction:
+    """det of a polynomial matrix at an integer point, on the integer form:
+    each column is evaluated over the lcm of its denominators and the
+    integer determinant is taken by fraction-free (Bareiss) elimination."""
+    powers = [[1] for _ in point]
+    n = matrix.rows
+    cols = []
+    scale = 1
+    for j in range(matrix.cols):
+        column = [matrix[i][j] for i in range(n)]
+        den = math.lcm(*(e._d for e in column))
+        cols.append([_numerator_at(e, powers, point) * (den // e._d) for e in column])
+        scale *= den
+    a = [list(row) for row in zip(*cols)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if pivot is None:
+                return Fraction(0)
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def rat_det(a) -> Fraction:

@@ -6,11 +6,19 @@ matrix entry, or identity side) so a red result is actionable.  Checks
 never raise on mathematical failure; exceptions escaping from here mean a
 programming error.
 
+No check takes the determinant of a polynomial matrix of the pipeline:
+the determinant claims are certified by Saito's criterion (``saito``),
+the inclusion by one exact product.
+
 The checks, by name as used in reports and on the command line:
 
-* ziegler       det P_m is a nonzero constant multiple of Q^m (the
-                determinant criterion for a basis of the m-derivation
-                module; the constant is recorded).
+* ziegler       det P_m is a nonzero constant multiple of Q^m, by Saito's
+                criterion: every column is in D^(m) (membership), the
+                columns are homogeneous with degrees summing to m |A|, and
+                det P_m is nonzero at one fixed rational point p off every
+                hyperplane; the constant det P_m(p) / Q(p)^m is recorded.
+                A failure names the condition (membership, degrees or
+                evaluation) with its witness.
 * membership    theta_j(alpha_H) is divisible by alpha_H^m for every
                 hyperplane factor and every column.  An irreducible factor
                 q of degree d > 1 is a Galois orbit of d irrational mirror
@@ -21,14 +29,16 @@ The checks, by name as used in reports and on the command line:
                 degree apart).  Such records are flagged orbit_level.
 * degrees       nonzero entries of column j are homogeneous of degree k*h
                 (m even) or k*h + m_j (m odd).
-* det-jdkx      det J(D^k x) * Q^(2k) is a nonzero rational constant.
+* det-jdkx      det J(D^k x) * Q^(2k) is a nonzero rational constant:
+                det Gram divided by the certified constant of P_{2k}.
 * jdg           matrix identities relating J(D g), J(D x) and D applied
                 entrywise, for g in {x, f, D x}.
 * b-properties  polynomiality, invariance, degree table, southeast shape,
                 antidiagonal relation, central block (type D, even rank),
-                constant determinant, the difference identity
-                B^(k+1) - B^(k) = B^(1) + B^(1)^T and the closed form
-                B^(k+1) = (k+1) B^(1) + k B^(1)^T.
+                constant determinant (one evaluation: with the degree table
+                det B^(k) is homogeneous of degree 2|A| - l h = 0), the
+                difference identity B^(k+1) - B^(k) = B^(1) + B^(1)^T and
+                the closed form B^(k+1) = (k+1) B^(1) + k B^(1)^T.
 * equivariance  g[J(D^k x)] = rho^-1 J(D^k x) rho, g[J(f)] = rho^-1 J(f),
                 and g[P_m] = rho^T P_m for odd m, for every stored
                 generator.
@@ -36,14 +46,15 @@ The checks, by name as used in reports and on the command line:
                 product P_{2k} J(D^k x) = Gram, k = m // 2 (odd m follows,
                 since P_{2k+1} = P_{2k} J(f) is the direct formula too).
 * nesting       the columns of P_m have polynomial coordinates in the
-                columns of P_{m-1} (the inclusion of consecutive modules).
+                columns of P_{m-1}: the exact product P_{m-1} C_m = P_m
+                with the polynomial matrix C_m = J(f) (m odd) or
+                -(B^(m/2))^{-1} P_1^T (m even).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .coxeter import CoxeterSystem
 from .derivations import (
@@ -59,16 +70,11 @@ from .derivations import (
     iterate_dkx,
     p_matrix,
     primitive_dx,
+    saito_certificate,
+    step_matrix,
 )
-from .exactpoly import (
-    ArrFrac,
-    Matrix,
-    Poly,
-    divide_exact,
-    is_constant_multiple,
-    mat_det_adj,
-    rat_mat_inv,
-)
+from .exactpoly import ArrFrac, Matrix, det_at, mat_det_adj, rat_mat_inv
+from .saito import evaluation_point, membership_witness
 
 __all__ = [
     "CheckRecord",
@@ -146,106 +152,35 @@ def _finish(record: CheckRecord, t0: float) -> CheckRecord:
 
 
 def verify_ziegler(system: CoxeterSystem, basis: DerivationBasis) -> CheckRecord:
+    """Saito's criterion on basis (``derivations.saito_certificate``)."""
     t0 = time.perf_counter()
-    det, _ = mat_det_adj(basis.matrix, det_only=True)
-    c = is_constant_multiple(det, system.q_poly ** basis.m)
-    if c:
-        rec = CheckRecord("ziegler", "pass", {"m": basis.m, "constant": str(c)})
+    cert = saito_certificate(system, basis)
+    if cert.constant is not None:
+        rec = CheckRecord("ziegler", "pass", {"m": basis.m, "constant": str(cert.constant)})
     else:
-        rec = CheckRecord(
-            "ziegler",
-            "fail",
-            {"m": basis.m},
-            {"determinant": str(det), "expected_multiple_of": f"Q^{basis.m}"},
-        )
+        rec = CheckRecord("ziegler", "fail", {"m": basis.m}, cert.witness)
     return _finish(rec, t0)
 
 
 def verify_membership(system: CoxeterSystem, basis: DerivationBasis) -> CheckRecord:
+    """Membership as recorded by the basis certificate, which Saito's
+    criterion runs first, so ziegler and membership share it."""
     t0 = time.perf_counter()
     m = basis.m
-    ell = system.rank
     if m == 0:
         return _finish(
             CheckRecord("membership", "pass", {"m": 0, "vacuous": True}), t0
         )
-    orbit_level = False
-    mat = basis.matrix
-    for q in system.factors:
-        for j in range(ell):
-            column = [mat[i][j] for i in range(ell)]
-            if q.degree() == 1:
-                failure = _line_membership_failure(q, column, m)
-            else:
-                orbit_level = True
-                failure = _orbit_membership_failure(q, column, m)
-            if failure is not None:
-                step, residual = failure
-                rec = CheckRecord(
-                    "membership",
-                    "fail",
-                    {"m": m, "orbit_level": orbit_level},
-                    {
-                        "factor": str(q),
-                        "column": j + 1,
-                        "divisions_done": step,
-                        "residual": residual,
-                    },
-                )
-                return _finish(rec, t0)
-    return _finish(
-        CheckRecord("membership", "pass", {"m": m, "orbit_level": orbit_level}), t0
-    )
-
-
-def _line_membership_failure(alpha: Poly, column, m: int) -> tuple[int, str] | None:
-    """None when alpha^m divides theta(alpha) for the linear form alpha, else
-    (the number of divisions that succeeded, the residual)."""
-    ell = alpha.nvars
-    cur = Poly.zero(ell)
-    for i in range(ell):
-        coeff = alpha.coefficient(tuple(1 if t == i else 0 for t in range(ell)))
-        if coeff:
-            cur = cur + column[i] * coeff
-    for step in range(m):
-        nxt = divide_exact(cur, alpha)
-        if nxt is None:
-            return step, str(cur)
-        cur = nxt
-    return None
-
-
-def _orbit_membership_failure(q: Poly, column, m: int) -> tuple[int, str] | None:
-    """Exact membership of one column along the mirror lines of a binary
-    form q of degree > 1, irreducible over Q and prime to x2.
-
-    Its lines are x1 = t x2 for the roots t of q~(t) = q(t, 1), and theta
-    lies in D^(m) along them iff q~(t) divides a^(j)(t) - t b^(j)(t) for
-    every j < m, where a, b are theta(x1), theta(x2) at x2 = 1, taken one
-    homogeneous degree at a time (dehomogenising merges the degrees).
-    Returns None, or (j, that polynomial in t = x1/x2) for the first j
-    that fails.
-    """
-    q_t = _dehomogenise(q)[q.degree()]
-    t = Poly.variable(1, 0)
-    parts_a, parts_b = _dehomogenise(column[0]), _dehomogenise(column[1])
-    for deg in sorted(set(parts_a) | set(parts_b)):
-        a = parts_a.get(deg, Poly.zero(1))
-        b = parts_b.get(deg, Poly.zero(1))
-        for j in range(m):
-            residual = a - t * b
-            if divide_exact(residual, q_t) is None:
-                return j, str(residual).replace("x1", "t")
-            a, b = a.diff(0), b.diff(0)
-    return None
-
-
-def _dehomogenise(p: Poly) -> dict[int, Poly]:
-    """The homogeneous components of a polynomial in x1, x2 at x2 = 1, by degree."""
-    parts: dict[int, dict] = {}
-    for (e1, e2), c in p.items():
-        parts.setdefault(e1 + e2, {})[(e1,)] = c
-    return {deg: Poly(1, terms) for deg, terms in parts.items()}
+    failure = saito_certificate(system, basis).membership
+    if failure is None:
+        return _finish(
+            CheckRecord("membership", "pass", {"m": m, "orbit_level": system.orbit_level}), t0
+        )
+    # the flag reports whether an orbit factor was reached before the failure
+    orbit_level = any(q.degree() > 1 for q in system.factors[:failure[0] + 1])
+    rec = CheckRecord("membership", "fail", {"m": m, "orbit_level": orbit_level},
+                      membership_witness(system.factors, failure))
+    return _finish(rec, t0)
 
 
 def verify_degrees(system: CoxeterSystem, basis: DerivationBasis) -> CheckRecord:
@@ -272,11 +207,10 @@ def verify_degrees(system: CoxeterSystem, basis: DerivationBasis) -> CheckRecord
     )
 
 
-def verify_det_jdkx(system: CoxeterSystem, k: int,
-                    p_constant: Fraction | None = None) -> CheckRecord:
+def verify_det_jdkx(system: CoxeterSystem, k: int) -> CheckRecord:
     t0 = time.perf_counter()
     try:
-        c = jdkx_det_constant(system, k, p_constant)
+        c = jdkx_det_constant(system, k)
     except PipelineError as err:
         return _finish(
             CheckRecord("det-jdkx", "fail", {"k": k}, {"reason": str(err)}), t0
@@ -289,9 +223,11 @@ def _matrix_apply_d(mat: Matrix, dx) -> Matrix:
 
 
 def _resolve_g(system: CoxeterSystem, g_key):
-    """The vector g, and k when g = D^k x (None otherwise)."""
+    """The vector g, and k when g = D^k x (None otherwise).  A custom g
+    must be polynomial (ValueError otherwise), so J(g) is too."""
     if isinstance(g_key, (list, tuple)):
-        return [g if isinstance(g, ArrFrac) else ArrFrac.from_poly(g) for g in g_key], None
+        return [ArrFrac.from_poly(g.as_poly() if isinstance(g, ArrFrac) else g)
+                for g in g_key], None
     if g_key == "f":
         return [ArrFrac.from_poly(f) for f in system.invariants], None
     if g_key == "x":
@@ -310,11 +246,11 @@ def _jacobian_inverse(system: CoxeterSystem, jg: Matrix, k: int | None):
     Gram^{-1} P_{2k}, which the product identity certifies."""
     if k is not None:
         return jdkx_inverse(system, k)
-    det, adj = mat_det_adj(jg)
+    det, adj = mat_det_adj(jg.to_poly())
     if not det:
         return None
-    det_inv = det.inverse(system.factors)
-    return adj.map(lambda e: e * det_inv)
+    det_inv = ArrFrac.from_poly(det).inverse(system.factors)
+    return adj.map(lambda e: det_inv * e)
 
 
 def verify_jdg_identities(system: CoxeterSystem, g_key: str = "x",
@@ -408,7 +344,8 @@ def verify_b_properties(system: CoxeterSystem, k: int,
                 break
         if rec.status == "fail":
             break
-    records.append(_finish(rec, t0))
+    degrees = _finish(rec, t0)
+    records.append(degrees)
 
     t0 = time.perf_counter()
     rec = CheckRecord(f"b({k}).invariance", "pass",
@@ -482,13 +419,19 @@ def verify_b_properties(system: CoxeterSystem, k: int,
             {"block": [[str(e) for e in row] for row in block]})
         records.append(_finish(rec, t0))
 
+    # with the degree table, each term of det B^(k) has degree
+    # sum_i (m_i + m_sigma(i) - h) = 2|A| - l h = 0, so one value is det B^(k)
     t0 = time.perf_counter()
-    det, _ = mat_det_adj(bk, det_only=True)
-    if det.is_constant() and det.constant_value() != 0:
-        rec = CheckRecord(f"b({k}).det_constant", "pass",
-                          {"constant": str(det.constant_value())})
+    name = f"b({k}).det_constant"
+    if degrees.status != "pass":
+        rec = CheckRecord(name, "skipped",
+                          {"reason": f"b({k}).degrees failed; the value at a point "
+                                     "is the determinant only for that degree table"})
     else:
-        rec = CheckRecord(f"b({k}).det_constant", "fail", {}, {"det": str(det)})
+        point, _ = evaluation_point(ell, system.factors)
+        value = det_at(bk, point)
+        rec = (CheckRecord(name, "pass", {"constant": str(value)}) if value
+               else CheckRecord(name, "fail", {}, {"point": list(point), "value": "0"}))
     records.append(_finish(rec, t0))
 
     t0 = time.perf_counter()
@@ -557,40 +500,18 @@ def verify_recursion(system: CoxeterSystem, m: int) -> CheckRecord:
 
 
 def verify_nesting(system: CoxeterSystem, m: int) -> CheckRecord:
-    """Columns of P_m written in the columns of P_{m-1} with polynomial
-    coefficients (solved exactly through the adjugate)."""
+    """Columns of P_m in the polynomial span of the columns of P_{m-1}:
+    the exact product P_{m-1} C_m equals P_m for the polynomial C_m of
+    ``derivations.step_matrix``."""
     t0 = time.perf_counter()
     if m == 0:
         return _finish(
             CheckRecord("nesting", "skipped", {"reason": "m = 0 has no predecessor"}), t0
         )
-    prev = p_matrix(system, m - 1)
-    cur = p_matrix(system, m)
-    det, adj = mat_det_adj(prev.matrix)
-    c = is_constant_multiple(det, system.q_poly ** (m - 1))
-    if not c:
-        return _finish(
-            CheckRecord("nesting", "fail", {"m": m},
-                        {"reason": "det P_{m-1} is not a multiple of Q^{m-1}"}), t0
-        )
-    scaled = adj @ cur.matrix
-    for i in range(system.rank):
-        for j in range(system.rank):
-            val = scaled[i][j]
-            for f in system.factors:
-                for _ in range(m - 1):
-                    if not val:
-                        break
-                    nxt = divide_exact(val, f)
-                    if nxt is None:
-                        return _finish(
-                            CheckRecord(
-                                "nesting", "fail", {"m": m},
-                                {"column": j + 1, "coordinate": i + 1,
-                                 "non_divisible_by": str(f)}), t0
-                        )
-                    val = nxt
-    return _finish(CheckRecord("nesting", "pass", {"m": m}), t0)
+    product = p_matrix(system, m - 1).matrix @ step_matrix(system, m)
+    rec = _eq_record("nesting", product, p_matrix(system, m).matrix)
+    rec.detail = {"m": m}
+    return _finish(rec, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -625,20 +546,14 @@ def run_verification(system: CoxeterSystem, m: int,
             )
             return report
 
-    # at even m the Ziegler constant of the memoised P_m is det P_{2k} / Q^(2k),
-    # which det-jdkx would otherwise compute again
-    p_constant = None
     if "ziegler" in wanted:
-        ziegler = verify_ziegler(system, basis)
-        report.checks.append(ziegler)
-        if m % 2 == 0 and ziegler.status == "pass":
-            p_constant = Fraction(ziegler.detail["constant"])
+        report.checks.append(verify_ziegler(system, basis))
     if "membership" in wanted:
         report.checks.append(verify_membership(system, basis))
     if "degrees" in wanted:
         report.checks.append(verify_degrees(system, basis))
     if "det-jdkx" in wanted:
-        report.checks.append(verify_det_jdkx(system, k, p_constant))
+        report.checks.append(verify_det_jdkx(system, k))
     if "jdg" in wanted:
         for i, g_key in enumerate(("x", "f", "dx")):
             report.checks.extend(

@@ -100,17 +100,23 @@ def test_substitute_linear_on_fraction():
 
 
 def test_frac_matrix_det_adj_reattaches_denominators():
+    # mat_det_adj takes polynomial matrices only: the caller clears M = N / Q
+    # and reattaches the denominators, det M = det N / Q^2 and
+    # adj M = adj N / Q, which ArrFrac reduces against the factors of Q
     system = get_system("B2")
     den1 = system.q_factor_map
-    m = Matrix([
-        [ArrFrac(x2**3, den1), ArrFrac(-(x1**3), den1)],
-        [ArrFrac(-x2, den1), ArrFrac(x1, den1)],
-    ])
-    det, adj = mat_det_adj(m)
+    num = Matrix([[x2**3, -(x1**3)], [-x2, x1]])
+    m = num.map(lambda e: ArrFrac(e, den1))
+    det_n, adj_n = mat_det_adj(num)
+    det = ArrFrac(det_n, {f: 2 for f in den1})
+    adj = adj_n.map(lambda e: ArrFrac(e, den1))
+    assert det.num.is_constant() and sum(det.den.values()) == 4  # det M = -1/Q
     ident = m @ adj
     for i in range(2):
         for j in range(2):
             assert ident[i][j] == (det if i == j else ArrFrac.from_poly(Poly.zero(2)))
+    with pytest.raises(TypeError):
+        mat_det_adj(m)
 
 
 def test_reduction_invariant_after_arith():

@@ -7,7 +7,7 @@ import pytest
 from multider import derivations, verify
 from multider.coxeter import get_system
 from multider.derivations import DerivationBasis, p_matrix
-from multider.exactpoly import Matrix, Poly
+from multider.exactpoly import Matrix, Poly, is_constant_multiple, mat_det_adj, rat_det
 from multider.verify import (
     run_verification,
     verify_b_properties,
@@ -46,10 +46,13 @@ def test_ziegler_m0():
 
 
 def test_ziegler_fail_with_witness():
+    # Saito's criterion names the condition that failed: here membership,
+    # with the membership witness (no determinant is computed)
     s = get_system("B2")
     rec = verify_ziegler(s, corrupt(p_matrix(s, 3)))
     assert rec.status == "fail"
-    assert rec.witness and "determinant" in rec.witness
+    assert rec.witness["condition"] == "membership"
+    assert {"factor", "column", "divisions_done", "residual"} <= set(rec.witness)
 
 
 def test_membership_b2_m3():
@@ -142,21 +145,28 @@ def test_det_jdkx_records():
 
 @pytest.mark.parametrize("key", ["B2", "A3", "I2(5)"])
 def test_det_jdkx_reuses_the_ziegler_determinant(monkeypatch, key):
+    # ziegler and det-jdkx share one Saito certificate of the memoised P_4,
+    # and neither takes the determinant of a polynomial matrix
     s = get_system(key)
-    p_matrix(s, 4)
-    expected = verify_det_jdkx(s, 2).detail
-    det_only_calls = []
-    real = derivations.mat_det_adj
+    derivations.clear_caches()
+    p4 = p_matrix(s, 4).matrix
+    oracle = is_constant_multiple(mat_det_adj(p4)[0], s.q_poly ** 4)
+    calls = []
 
-    def counting(matrix, det_only=False):
-        det_only_calls.append(det_only)
-        return real(matrix, det_only)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(derivations, "mat_det_adj", counting)
-    monkeypatch.setattr(verify, "mat_det_adj", counting)
+    monkeypatch.setattr(derivations, "certify", counting("certify", derivations.certify))
+    for module in (derivations, verify):
+        monkeypatch.setattr(module, "mat_det_adj", counting("det", module.mat_det_adj))
     report = run_verification(s, 4, ("ziegler", "det-jdkx"))
-    assert report.passed and report.checks[1].detail == expected
-    assert det_only_calls.count(True) == 1
+    assert report.passed
+    assert report.checks[0].detail["constant"] == str(oracle)
+    assert report.checks[1].detail["constant"] == str(rat_det(s.gram) / oracle)
+    assert calls == ["certify"]
 
 
 def test_jdg_identities_trivial_g_x():
