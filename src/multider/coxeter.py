@@ -23,8 +23,8 @@ at construction time rather than trusted:
 * Q is anti-invariant under each generator (tested factor by factor);
 * det J(f) is a nonzero constant multiple of Q (the constant is stored),
   by Saito's criterion on P_1 = Gram J(f) (``saito``): its columns are in
-  D(A) (by division, or by the reflection argument in ``_certify``), their
-  degrees m_j sum to |A|, and det J(f) is nonzero at one point.
+  D(A) (by exact division along every factor), their degrees m_j sum to
+  |A|, and det J(f) is nonzero at one point.
 
 Conventions worth knowing when comparing output against other sources:
 hyperplane forms are normalised so the first nonzero coefficient is +1,
@@ -405,40 +405,22 @@ def _certify(system: CoxeterSystem) -> Fraction:
         if rat_det(minor) <= 0:
             raise CatalogError(f"{system.key}: Gram matrix not positive definite")
 
-    images, mirrors = [], set()
     for g in system.generators:
         if rat_mat_mul(rat_mat_mul(_transpose(g), system.gram), g) != system.gram:
             raise CatalogError(f"{system.key}: generator does not preserve the form")
         for f in system.invariants:
             if f.substitute_linear(g) != f:
                 raise CatalogError(f"{system.key}: invariant not fixed by a generator")
-        image = _check_anti_invariance(system, g)
-        images.append({f: h for f, (h, _) in image.items()})
-        # g preserves a positive definite form, so its eigenvalues have
-        # modulus 1; with one of them -1 (g.alpha = -alpha below), trace
-        # l - 2 forces all the others to be 1: g is a reflection
-        if sum(g[i][i] for i in range(ell)) == ell - 2:
-            mirrors.update(f for f, (h, scale) in image.items() if h == f and scale == -1)
+        _check_anti_invariance(system, g)
 
     # Saito's criterion at m = 1 on P_1 = Gram J(f), whose column j has
     # degree m_j: membership, sum m_j = |A| (checked above) and one
-    # evaluation give det P_1 = det Gram det J(f) = c Q.  With
-    # theta_j(alpha) = a^T Gram grad f_j for alpha = a^T x, a generator g
-    # fixing f_j and the form gives theta_j(g.alpha) = g.theta_j(alpha), so
-    # membership along alpha carries over to the orbit of alpha.  If g is
-    # the reflection in alpha (g.alpha = -alpha), theta_j(alpha) is
-    # anti-invariant under g, so it vanishes on the mirror and alpha
-    # divides it.  Division is left for the orbits without such a mirror.
+    # evaluation give det P_1 = det Gram det J(f) = c Q.
     jf = system.jacobian_of_invariants()
-    representatives = _unmirrored_orbits(system.factors, images, mirrors)
-    if representatives:
-        gram = system.gram
-        orthonormal = all(gram[i][j] == (i == j) for i in range(ell) for j in range(ell))
-        p1 = jf if orthonormal else system.gram_matrix() @ jf
-        failure = membership_failure(representatives, p1, 1)
-        if failure is not None:
-            raise CatalogError(f"{system.key}: a column of Gram J(f) is not in D(A): "
-                               f"{membership_witness(representatives, failure)}")
+    failure = membership_failure(system.factors, system.gram_matrix() @ jf, 1)
+    if failure is not None:
+        raise CatalogError(f"{system.key}: a column of Gram J(f) is not in D(A): "
+                           f"{membership_witness(system.factors, failure)}")
     # J(f) has the column degrees of P_1 and det J(f)(p) != 0 iff det P_1(p) != 0
     constant, witness = saito_constant(jf, system.factors, 1)
     if constant is None:
@@ -448,43 +430,20 @@ def _certify(system: CoxeterSystem) -> Fraction:
     return constant
 
 
-def _check_anti_invariance(system: CoxeterSystem, g) -> dict[Poly, tuple[Poly, Fraction]]:
-    """Q(g x) = det(g) Q(x), tested factor by factor; returns each factor's
-    image as (canonical factor, scale).
+def _check_anti_invariance(system: CoxeterSystem, g) -> None:
+    """Q(g x) = det(g) Q(x), tested factor by factor.
 
     Each factor's image is scale * canonical factor; by unique
     factorisation Q is anti-invariant iff the canonical images permute
     the stored factors and the scales multiply to det(g).  This avoids
     substituting the expanded Q.
     """
-    images = {f: canonical_factor(f.substitute_linear(g)) for f in system.factors}
+    images = [canonical_factor(f.substitute_linear(g)) for f in system.factors]
     scale = Fraction(1)
-    for _, s in images.values():
+    for _, s in images:
         scale *= s
-    if {f for f, _ in images.values()} != set(system.factors) or scale != rat_det(g):
+    if {f for f, _ in images} != set(system.factors) or scale != rat_det(g):
         raise CatalogError(f"{system.key}: Q not anti-invariant under a generator")
-    return images
-
-
-def _unmirrored_orbits(factors, images: list[dict[Poly, Poly]], mirrors) -> list[Poly]:
-    """The first factor, in stored order, of each orbit of the generators
-    that contains no mirror of a stored reflection."""
-    seen: set[Poly] = set()
-    representatives = []
-    for f in factors:
-        if f in seen:
-            continue
-        orbit, stack = {f}, [f]
-        while stack:
-            h = stack.pop()
-            for image in images:
-                if image[h] not in orbit:
-                    orbit.add(image[h])
-                    stack.append(image[h])
-        seen |= orbit
-        if not orbit & mirrors:
-            representatives.append(f)
-    return representatives
 
 
 def _transpose(g):

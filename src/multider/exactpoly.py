@@ -1213,14 +1213,13 @@ def mat_det_adj(matrix: Matrix) -> tuple[Poly, Matrix]:
 
     A fraction-free cofactor expansion along the first remaining row,
     each minor computed once.  A singular matrix yields det == 0 with the
-    classical adjugate still valid.  A matrix over ArrFrac is converted by
-    the caller (``Matrix.to_poly``); every input in the pipeline is
-    polynomial.
+    classical adjugate still valid.  A matrix over ArrFrac is cleared of
+    its denominators by the caller (as ``verify._jacobian_inverse`` does).
     """
     if not matrix.is_square():
         raise ValueError("determinant of a non-square matrix")
     if matrix.has_frac():
-        raise TypeError("mat_det_adj takes a polynomial matrix; convert with to_poly")
+        raise TypeError("mat_det_adj takes a polynomial matrix; clear the denominators first")
     n = matrix.rows
     minor = _minor_table(matrix)
     full = (1 << n) - 1

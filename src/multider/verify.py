@@ -73,7 +73,7 @@ from .derivations import (
     saito_certificate,
     step_matrix,
 )
-from .exactpoly import ArrFrac, Matrix, det_at, mat_det_adj, rat_mat_inv
+from .exactpoly import ArrFrac, Matrix, det_at, expand_factor_powers, mat_det_adj, rat_mat_inv
 from .saito import evaluation_point, membership_witness
 
 __all__ = [
@@ -223,11 +223,9 @@ def _matrix_apply_d(mat: Matrix, dx) -> Matrix:
 
 
 def _resolve_g(system: CoxeterSystem, g_key):
-    """The vector g, and k when g = D^k x (None otherwise).  A custom g
-    must be polynomial (ValueError otherwise), so J(g) is too."""
+    """The vector g, and k when g = D^k x (None otherwise)."""
     if isinstance(g_key, (list, tuple)):
-        return [ArrFrac.from_poly(g.as_poly() if isinstance(g, ArrFrac) else g)
-                for g in g_key], None
+        return [g if isinstance(g, ArrFrac) else ArrFrac.from_poly(g) for g in g_key], None
     if g_key == "f":
         return [ArrFrac.from_poly(f) for f in system.invariants], None
     if g_key == "x":
@@ -246,11 +244,18 @@ def _jacobian_inverse(system: CoxeterSystem, jg: Matrix, k: int | None):
     Gram^{-1} P_{2k}, which the product identity certifies."""
     if k is not None:
         return jdkx_inverse(system, k)
-    det, adj = mat_det_adj(jg.to_poly())
+    # J(g) = N / d over the common denominator d, so J(g)^{-1} = d adj N / det N
+    den: dict = {}
+    for i in range(jg.rows):
+        for j in range(jg.cols):
+            for f, e in jg[i][j].den.items():
+                den[f] = max(den.get(f, 0), e)
+    d = ArrFrac.from_poly(expand_factor_powers(system.rank, den))
+    det, adj = mat_det_adj(jg.map(lambda e: (e * d).as_poly()))
     if not det:
         return None
-    det_inv = ArrFrac.from_poly(det).inverse(system.factors)
-    return adj.map(lambda e: det_inv * e)
+    scale = d * ArrFrac.from_poly(det).inverse(system.factors)
+    return adj.map(lambda e: scale * e)
 
 
 def verify_jdg_identities(system: CoxeterSystem, g_key: str = "x",

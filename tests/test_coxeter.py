@@ -8,7 +8,6 @@ import pytest
 from multider.coxeter import (
     CatalogError,
     _check_anti_invariance,
-    _unmirrored_orbits,
     build_system,
     catalog_entries,
     get_system,
@@ -113,25 +112,6 @@ def test_anti_invariance_rejects_doctored_generators(key):
         # -1 permutes the three lines; the scales multiply to -1, det is +1
         with pytest.raises(CatalogError, match="anti-invariant"):
             _check_anti_invariance(s, [[-1, 0], [0, -1]])
-
-
-@pytest.mark.parametrize("key, unmirrored", [
-    ("A3", []), ("B3", []), ("D4", []),
-    ("I2(5)", ["5*x1^4 - 10*x1^2*x2^2 + x2^4"]),
-    ("I2(6)", ["3*x1^2 - x2^2", "x1^2 - 3*x2^2"]),
-    ("I2(8)", ["x1^2 + 2*x1*x2 - x2^2"]),
-])
-def test_membership_is_divided_only_on_orbits_without_a_mirror(key, unmirrored):
-    # the orbits of A, B and D contain a mirror of a stored reflection; the
-    # irrational mirror lines of I2(m) are the mirrors of no stored generator
-    s = get_system(key)
-    images, mirrors = [], set()
-    for g in s.generators:
-        image = _check_anti_invariance(s, g)
-        images.append({f: h for f, (h, _) in image.items()})
-        if sum(g[i][i] for i in range(s.rank)) == s.rank - 2:
-            mirrors |= {f for f, (h, c) in image.items() if h == f and c == -1}
-    assert [str(f) for f in _unmirrored_orbits(s.factors, images, mirrors)] == unmirrored
 
 
 def test_i2_4_is_rational_b2_rotation():

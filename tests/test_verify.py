@@ -7,7 +7,7 @@ import pytest
 from multider import derivations, verify
 from multider.coxeter import get_system
 from multider.derivations import DerivationBasis, p_matrix
-from multider.exactpoly import Matrix, Poly, is_constant_multiple, mat_det_adj, rat_det
+from multider.exactpoly import ArrFrac, Matrix, Poly, is_constant_multiple, mat_det_adj, rat_det
 from multider.verify import (
     run_verification,
     verify_b_properties,
@@ -192,6 +192,19 @@ def test_jdg_singular_jacobian_skips_inverse_identities():
     assert status["jdg(custom).i"] == "pass"  # holds for any g
     assert status["jdg(custom).ii"] == "skipped"
     assert status["jdg(custom).iv"] == "skipped"
+
+
+def test_jdg_identities_custom_g_with_denominator():
+    # J(g) has a denominator x1^2: its inverse is taken over the cleared
+    # numerator and the denominator reattached
+    s = get_system("B2")
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    x1_factor = next(f for f in s.factors if f == x1)
+    g = [x1, ArrFrac(x2 ** 3, {x1_factor: 1})]
+    recs = verify_jdg_identities(s, g, include_f_identity=False)
+    assert {r.name: r.status for r in recs} == {
+        "jdg(custom).i": "pass", "jdg(custom).ii": "pass", "jdg(custom).iv": "pass",
+    }
 
 
 def test_b_properties_b2():
