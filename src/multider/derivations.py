@@ -5,7 +5,8 @@ ascending) the primitive derivation D is the derivation of the fraction
 field with D f_i = 0 for i < l and D f_l = 1.  Its coordinate vector
 (D x_1, ..., D x_l) is the bottom row of J(f)^{-1}, and iterating D on the
 coordinates produces the rational vectors D^k x whose poles lie along the
-arrangement only.
+arrangement only.  Every application of D (``apply_derivation``) is one sum
+over a common denominator, reduced once.
 
 From these the module constructs:
 
@@ -17,7 +18,8 @@ From these the module constructs:
   closed form, so only constant-determinant matrices are ever inverted.
   Each even step is certified against the paper's direct formula
   P_{2k} = Gram J(D^k x)^{-1} by the exact product P_{2k} J(D^k x) = Gram
-  (``certify_direct_formula``).  Odd m needs no identity of its own:
+  (``certify_direct_formula``, which compares each unreduced entry with
+  Gram times its denominator).  Odd m needs no identity of its own:
   Gram J(D^k x)^{-1} J(f) = P_{2k} J(f) is the odd step itself.  Columns
   are homogeneous of degree k*h (even m) or k*h + m_j (odd m), k = m // 2.
 
@@ -51,9 +53,12 @@ from .exactpoly import (
     ArrFrac,
     Matrix,
     Poly,
+    expand_factor_powers,
     mat_det_adj,
+    product_pair,
     rat_det,
     rat_mat_inv,
+    sum_pairs,
 )
 from .saito import Certificate, certify
 
@@ -137,18 +142,21 @@ def primitive_dx(system: CoxeterSystem) -> tuple[ArrFrac, ...]:
 
 
 def apply_derivation(p, dx) -> ArrFrac:
-    """Apply sum_j dx_j * d/dx_j to a polynomial or fraction."""
+    """Apply sum_j dx_j * d/dx_j to a polynomial or fraction.
+
+    The terms dx_j * (d p / d x_j) stay unreduced (the quotient-rule
+    derivative times dx_j) and are summed over their common denominator,
+    so the result is reduced once.
+    """
     if not isinstance(p, ArrFrac):
         p = ArrFrac.from_poly(p)
-    acc = None
+    pairs = []
     for j, coeff in enumerate(dx):
-        dp = p.diff(j)
-        if dp:
-            term = coeff * dp
-            acc = term if acc is None else acc + term
-    if acc is None:
-        return ArrFrac.from_poly(Poly.zero(p.nvars))
-    return acc
+        if coeff:
+            num, den = p.diff_pair(j)
+            if num:
+                pairs.append(product_pair(coeff, num, den))
+    return ArrFrac(*sum_pairs(p.nvars, pairs))
 
 
 def iterate_dkx(system: CoxeterSystem, k: int) -> tuple[ArrFrac, ...]:
@@ -289,16 +297,28 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> Non
     """Check P_{2k} J(D^k x) = Gram exactly, i.e. P_{2k} = Gram J(D^k x)^{-1}
     (J(D^k x) is invertible), without inverting J(D^k x).
 
-    Raises PipelineError naming the first entry of the product that differs.
+    Each entry of the product is an unreduced sum N / d over its common
+    denominator d, and N / d = Gram_ij exactly when N = Gram_ij * d, so no
+    entry is reduced unless it differs.  Raises PipelineError naming the
+    first entry of the product that differs.
     """
-    product = p_even @ jdkx(system, k)
-    gram = system.gram_matrix(frac=True)
-    for i, j, entry in product.entries():
-        if entry != gram[i][j]:
-            raise PipelineError(
-                f"{system.key}: entry ({i + 1},{j + 1}) of P_{2 * k} J(D^{k} x) "
-                f"is {entry}, expected {gram[i][j]}"
-            )
+    jd = jdkx(system, k)
+    ell = system.rank
+    expanded: dict[frozenset, Poly] = {}
+    for i in range(ell):
+        for j in range(ell):
+            pairs = [(p_even[i][r] * jd[r][j].num, jd[r][j].den)
+                     for r in range(ell) if p_even[i][r] and jd[r][j]]
+            num, den = sum_pairs(ell, pairs)
+            key = frozenset(den.items())
+            d = expanded.get(key)
+            if d is None:
+                d = expanded[key] = expand_factor_powers(ell, den)
+            if num != d * system.gram[i][j]:
+                raise PipelineError(
+                    f"{system.key}: entry ({i + 1},{j + 1}) of P_{2 * k} J(D^{k} x) "
+                    f"is {ArrFrac(num, den)}, expected {system.gram[i][j]}"
+                )
 
 
 def jdkx_inverse(system: CoxeterSystem, k: int) -> Matrix:

@@ -34,7 +34,9 @@ Representations:
   minors).  A product with a fraction entry anywhere forms each entry as
   one sum of unreduced products over their common denominator and
   reduces it once; the reduced form is canonical, so this equals reducing
-  term by term.  No certificate takes the determinant of a large
+  term by term.  The unreduced pieces of such sums (``product_pair``,
+  ``ArrFrac.diff_pair``, ``sum_pairs``) serve other fused sums too, such
+  as a derivation applied to a fraction.  No certificate takes the determinant of a large
   polynomial matrix: ``saito`` evaluates it at one point instead.
 
 All values are immutable after construction; all operations are pure.
@@ -57,6 +59,8 @@ __all__ = [
     "is_constant_multiple",
     "canonical_factor",
     "expand_factor_powers",
+    "product_pair",
+    "sum_pairs",
     "mat_det_adj",
     "poly_to_records",
     "poly_from_records",
@@ -796,32 +800,34 @@ def expand_factor_powers(nvars: int, powers: Mapping[Poly, int]) -> Poly:
     return acc
 
 
-def _common_denominator(
-    nvars: int, pairs: Sequence[tuple[Poly, Mapping[Poly, int]]]
-) -> tuple[list[Poly], dict[Poly, int]]:
-    """Rewrite the fractions num / prod f^den over one denominator.
+def product_pair(a: "ArrFrac", num: Poly, den: Mapping[Poly, int]) -> tuple[Poly, dict[Poly, int]]:
+    """The unreduced product a * num / prod f^den as (numerator,
+    denominator exponents)."""
+    out = dict(a.den)
+    for f, e in den.items():
+        out[f] = out.get(f, 0) + e
+    return a.num * num, out
 
-    The common denominator is the per-factor maximum over the pairs.
-    Returns (numerators, denominator), numerators in the order of pairs.
+
+def sum_pairs(
+    nvars: int, pairs: Sequence[tuple[Poly, Mapping[Poly, int]]]
+) -> tuple[Poly, dict[Poly, int]]:
+    """The unreduced sum of the fractions num / prod f^den.
+
+    The numerators are lifted to the common denominator (the per-factor
+    maximum over the pairs) and added; ``ArrFrac(*sum_pairs(...))`` reduces
+    the sum once, and that reduced form is canonical.
     """
     den: dict[Poly, int] = {}
     for _, d in pairs:
         for f, e in d.items():
             if den.get(f, 0) < e:
                 den[f] = e
-    nums = []
+    total = Poly.zero(nvars)
     for num, d in pairs:
         lift = {f: e - d.get(f, 0) for f, e in den.items() if e > d.get(f, 0)}
-        nums.append(num * expand_factor_powers(nvars, lift) if lift else num)
-    return nums, den
-
-
-def _product_pair(a: "ArrFrac", b: "ArrFrac") -> tuple[Poly, dict[Poly, int]]:
-    """The unreduced product a * b as (numerator, denominator exponents)."""
-    den = dict(a.den)
-    for f, e in b.den.items():
-        den[f] = den.get(f, 0) + e
-    return a.num * b.num, den
+        total = total + (num * expand_factor_powers(nvars, lift) if lift else num)
+    return total, den
 
 
 # ---------------------------------------------------------------------------
@@ -930,10 +936,9 @@ class ArrFrac:
             return NotImplemented
         if not self.den and not other.den:
             return ArrFrac.from_poly(self.num + other.num)
-        (na, nb), den = _common_denominator(
+        return ArrFrac(*sum_pairs(
             self.nvars, [(self.num, self.den), (other.num, other.den)]
-        )
-        return ArrFrac(na + nb, den)
+        ))
 
     __radd__ = __add__
 
@@ -959,7 +964,7 @@ class ArrFrac:
             return NotImplemented
         if not self.num or not other.num:
             return ArrFrac.from_poly(Poly.zero(self.nvars))
-        return ArrFrac(*_product_pair(self, other))
+        return ArrFrac(*product_pair(self, other.num, other.den))
 
     __rmul__ = __mul__
 
@@ -997,14 +1002,19 @@ class ArrFrac:
     # -- calculus and substitution --------------------------------------------
 
     def diff(self, index: int) -> "ArrFrac":
-        """Partial derivative via the quotient rule on the factored form.
+        """Partial derivative: ``diff_pair`` reduced."""
+        return ArrFrac(*self.diff_pair(index))
+
+    def diff_pair(self, index: int) -> tuple[Poly, dict[Poly, int]]:
+        """The unreduced partial derivative as (numerator, denominator
+        exponents), by the quotient rule on the factored form.
 
         With u = prod f^e the result is (num' * prod f - num * dlog) / (u * prod f)
         where dlog = sum_f e_f * f' * prod_{g != f} g, assembled with
         prefix/suffix products so each factor is touched once.
         """
         if not self.den:
-            return ArrFrac.from_poly(self.num.diff(index))
+            return self.num.diff(index), {}
         den_new = {f: e + 1 for f, e in self.den.items()}
         factors = sorted_factors(self.den)
         n = len(factors)
@@ -1024,7 +1034,7 @@ class ArrFrac:
         num_new = self.num.diff(index) * prod_all
         if dlog:
             num_new = num_new - self.num * dlog
-        return ArrFrac(num_new, den_new)
+        return num_new, den_new
 
     def substitute_linear(self, matrix) -> "ArrFrac":
         num = self.num.substitute_linear(matrix)
@@ -1134,12 +1144,11 @@ class Matrix:
                 row = []
                 for j in range(other.cols):
                     pairs = [
-                        _product_pair(a[i][k], b[k][j])
+                        product_pair(a[i][k], b[k][j].num, b[k][j].den)
                         for k in range(self.cols)
                         if a[i][k] and b[k][j]
                     ]
-                    nums, den = _common_denominator(nvars, pairs)
-                    row.append(ArrFrac(sum(nums, Poly.zero(nvars)), den))
+                    row.append(ArrFrac(*sum_pairs(nvars, pairs)))
                 out.append(row)
             return Matrix(out)
         out = []

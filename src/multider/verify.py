@@ -32,7 +32,10 @@ The checks, by name as used in reports and on the command line:
 * det-jdkx      det J(D^k x) * Q^(2k) is a nonzero rational constant:
                 det Gram divided by the certified constant of P_{2k}.
 * jdg           matrix identities relating J(D g), J(D x) and D applied
-                entrywise, for g in {x, f, D x}.
+                entrywise, for g in {x, f, D x}.  For g = D^k x, J(g) and
+                J(Dg) are the memoised J(D^k x) and J(D^(k+1) x), so the
+                identities test the memo; for g = x, J(D x) on the right
+                is the Jacobian of the certified primitive derivation.
 * b-properties  polynomiality, invariance, degree table, southeast shape,
                 antidiagonal relation, central block (type D, even rank),
                 constant determinant (one evaluation: with the degree table
@@ -67,7 +70,6 @@ from .derivations import (
     jdkx,
     jdkx_det_constant,
     jdkx_inverse,
-    iterate_dkx,
     p_matrix,
     primitive_dx,
     saito_certificate,
@@ -222,12 +224,16 @@ def _matrix_apply_d(mat: Matrix, dx) -> Matrix:
     return mat.map(lambda e: apply_derivation(e, dx))
 
 
-def _resolve_g(system: CoxeterSystem, g_key):
-    """The vector g, and k when g = D^k x (None otherwise)."""
-    if isinstance(g_key, (list, tuple)):
-        return [g if isinstance(g, ArrFrac) else ArrFrac.from_poly(g) for g in g_key], None
-    if g_key == "f":
-        return [ArrFrac.from_poly(f) for f in system.invariants], None
+def _jacobians(system: CoxeterSystem, g_key, dx):
+    """J(g), J(Dg), and k when g = D^k x (None otherwise).
+
+    For g = D^k x both Jacobians are the memoised J(D^k x) and J(D^(k+1) x)
+    of ``derivations.jdkx``, the objects the pipeline itself uses; for
+    g = f or a custom g they are computed here.
+    """
+    if isinstance(g_key, (list, tuple)) or g_key == "f":
+        gs = system.invariants if g_key == "f" else g_key
+        return jacobian(gs), jacobian([apply_derivation(g, dx) for g in gs]), None
     if g_key == "x":
         k = 0
     elif g_key == "dx":
@@ -236,7 +242,7 @@ def _resolve_g(system: CoxeterSystem, g_key):
         k = int(g_key[1:-1])
     else:
         raise ValueError(f"unknown g selector: {g_key!r}")
-    return list(iterate_dkx(system, k)), k
+    return jdkx(system, k), jdkx(system, k + 1), k
 
 
 def _jacobian_inverse(system: CoxeterSystem, jg: Matrix, k: int | None):
@@ -260,20 +266,22 @@ def _jacobian_inverse(system: CoxeterSystem, jg: Matrix, k: int | None):
 
 def verify_jdg_identities(system: CoxeterSystem, g_key: str = "x",
                           include_f_identity: bool = True) -> list[CheckRecord]:
-    """Check J(Dg) = J(Dx) J(g) + D[J(g)] and its inverse-form companions."""
+    """Check J(Dg) = J(Dx) J(g) + D[J(g)] and its inverse-form companions.
+
+    For g = D^k x the identities test the memoised J(D^k x) and
+    J(D^(k+1) x) rather than trust them.
+    """
     records: list[CheckRecord] = []
     dx = primitive_dx(system)
-    gs, level = _resolve_g(system, g_key)
-    jg = jacobian(gs)
-    dg = [apply_derivation(g, dx) for g in gs]
-    jdg = jacobian(dg)
-    jdx = jdkx(system, 1)
+    jg, jdg, level = _jacobians(system, g_key, dx)
+    # for g = x identity i reads J(Dx) = J(Dx), so one side is built from
+    # the certified primitive derivation instead of the memo
+    jdx = jacobian(dx) if level == 0 else jdkx(system, 1)
     tag = f"jdg({g_key})" if isinstance(g_key, str) else "jdg(custom)"
 
     t0 = time.perf_counter()
-    lhs = jdg
-    rhs = (jdx @ jg) + _matrix_apply_d(jg, dx)
-    records.append(_finish(_eq_record(f"{tag}.i", lhs, rhs), t0))
+    d_jg = _matrix_apply_d(jg, dx)
+    records.append(_finish(_eq_record(f"{tag}.i", jdg, (jdx @ jg) + d_jg), t0))
 
     t0 = time.perf_counter()
     inv = _jacobian_inverse(system, jg, level)
@@ -281,15 +289,14 @@ def verify_jdg_identities(system: CoxeterSystem, g_key: str = "x",
         records.append(_finish(CheckRecord(f"{tag}.ii", "skipped", {"reason": "J(g) singular"}), t0))
         records.append(CheckRecord(f"{tag}.iv", "skipped", {"reason": "J(g) singular"}))
     else:
-        d_jg = _matrix_apply_d(jg, dx)
         lhs = _matrix_apply_d(inv, dx)
         rhs = -(inv @ d_jg @ inv)
         records.append(_finish(_eq_record(f"{tag}.ii", lhs, rhs), t0))
 
         t0 = time.perf_counter()
-        jf = system.jacobian_of_invariants()
-        lhs = _matrix_apply_d(inv @ jf, dx)
-        rhs = -(inv @ jdg @ inv @ jf)
+        inv_jf = inv @ system.jacobian_of_invariants()
+        lhs = _matrix_apply_d(inv_jf, dx)
+        rhs = -(inv @ jdg @ inv_jf)
         records.append(_finish(_eq_record(f"{tag}.iv", lhs, rhs), t0))
 
     if include_f_identity:

@@ -76,6 +76,63 @@ def test_apply_derivation_leibniz_on_q_squared():
     assert lhs.degree() == 2 * s.q_poly.degree() - s.h
 
 
+def _term_by_term(p, dx):
+    """Reference for apply_derivation: sum_j dx_j * p.diff(j), every
+    operation reduced on its own."""
+    acc = ArrFrac.from_poly(Poly.zero(p.nvars))
+    for j, coeff in enumerate(dx):
+        acc = acc + coeff * p.diff(j)
+    return acc
+
+
+def _fused_matches_reference(p, dx):
+    fused = apply_derivation(p, dx)
+    assert fused == _term_by_term(p, dx)
+    assert str(fused) == str(_term_by_term(p, dx))
+    return fused
+
+
+def test_fused_apply_derivation_on_a_polynomial():
+    s = get_system("B3")
+    dp = _fused_matches_reference(ArrFrac.from_poly(s.q_poly), primitive_dx(s))
+    assert not dp.is_polynomial()
+
+
+def test_fused_apply_derivation_on_poles_along_several_factors():
+    s = get_system("B2")
+    dx = primitive_dx(s)
+    p = ArrFrac(x1**3 + x1 * x2**2 + x2**3,
+                {f: e for f, e in zip(s.factors, (1, 2, 3, 1))})
+    assert len(p.den) == 4
+    _fused_matches_reference(p, dx)
+    _fused_matches_reference(iterate_dkx(s, 2)[1], dx)
+
+
+def test_fused_apply_derivation_on_an_orbit_factor():
+    s = get_system("I2(5)")  # factors: the quartic orbit of four mirrors, and x2
+    orbit = next(f for f in s.factors if f.degree() > 1)
+    dx = primitive_dx(s)
+    assert orbit in dx[0].den
+    _fused_matches_reference(ArrFrac(x1 * x2, {orbit: 2}), dx)
+    _fused_matches_reference(iterate_dkx(s, 1)[1], dx)
+
+
+def test_fused_apply_derivation_with_a_zero_component():
+    s = get_system("B2")
+    dx = (primitive_dx(s)[0], ArrFrac.from_poly(Poly.zero(2)))
+    p = iterate_dkx(s, 1)[0]
+    assert p.diff(1)  # the zero component drops a nonzero term
+    _fused_matches_reference(p, dx)
+
+
+def test_fused_apply_derivation_cancels_to_a_polynomial():
+    s = get_system("B3")
+    dx = primitive_dx(s)
+    # D f_l = 1 and D f_1 = 0, although every dx_j has poles along Q
+    assert _fused_matches_reference(s.invariants[-1], dx) == ArrFrac.from_poly(Poly.const(3, 1))
+    assert _fused_matches_reference(s.invariants[0], dx) == ArrFrac.from_poly(Poly.zero(3))
+
+
 def test_iterate_dkx():
     s = get_system("B2")
     d0 = iterate_dkx(s, 0)

@@ -207,6 +207,26 @@ def test_jdg_identities_custom_g_with_denominator():
     }
 
 
+def _perturb_memoised_jdkx(monkeypatch, system, k):
+    """Double entry (1,1) of the memoised J(D^k x); undone after the test."""
+    mat = derivations.jdkx(system, k)
+    rows = [[mat[i][j] for j in range(mat.cols)] for i in range(mat.rows)]
+    assert rows[0][0]
+    rows[0][0] = rows[0][0] * 2
+    monkeypatch.setitem(derivations._jdkx_cache, (system.key, k), Matrix(rows))
+
+
+@pytest.mark.parametrize("g, k", [("x", 1), ("dx", 2)])
+def test_jdg_checks_the_memoised_jacobians(monkeypatch, g, k):
+    # negative control: J(Dg) is read from the memo, J(D^k x) for g = D^(k-1) x,
+    # and a wrong memo entry must break identity i, not pass through it
+    s = get_system("B2")
+    _perturb_memoised_jdkx(monkeypatch, s, k)
+    recs = {r.name: r for r in verify_jdg_identities(s, g, include_f_identity=False)}
+    assert recs[f"jdg({g}).i"].status == "fail"
+    assert recs[f"jdg({g}).i"].witness["entry"] == [1, 1]
+
+
 def test_b_properties_b2():
     s = get_system("B2")
     recs = verify_b_properties(s, 1)
