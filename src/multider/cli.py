@@ -7,7 +7,8 @@
     multider catalog           [--format json|text]
 
 Exit codes: 0 success (and, for verify/selftest, every check passed),
-1 a check failed or an internal error (PipelineError, UnsupportedDenominator),
+1 a check failed or an internal error (PipelineError, UnsupportedDenominator
+or any other exception, reported on stderr without a traceback),
 2 unknown or unsupported system key / usage error, 3 a resource limit was
 exceeded without --override-limits.
 
@@ -305,6 +306,10 @@ def main(argv=None) -> int:
     except (PipelineError, UnsupportedDenominator) as err:
         # an identity the construction guarantees failed: a bug, not a usage error
         print(f"internal error: {err}", file=sys.stderr)
+        return 1
+    except Exception as err:
+        # any other failure is a bug too; it is reported without a traceback
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 
 

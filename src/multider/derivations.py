@@ -110,7 +110,8 @@ def jacobian(entries) -> Matrix:
     n = gs[0].nvars
     if len(gs) != n:
         raise ValueError("need exactly one component per variable")
-    return Matrix([[gs[j].diff(i) for j in range(n)] for i in range(n)])
+    columns = [[ArrFrac(*pair) for pair in g.gradient_pairs()] for g in gs]
+    return Matrix([[columns[j][i] for j in range(n)] for i in range(n)])
 
 
 def primitive_dx(system: CoxeterSystem) -> tuple[ArrFrac, ...]:
@@ -150,12 +151,11 @@ def apply_derivation(p, dx) -> ArrFrac:
     """
     if not isinstance(p, ArrFrac):
         p = ArrFrac.from_poly(p)
-    pairs = []
-    for j, coeff in enumerate(dx):
-        if coeff:
-            num, den = p.diff_pair(j)
-            if num:
-                pairs.append(product_pair(coeff, num, den))
+    pairs = [
+        product_pair(coeff, num, den)
+        for coeff, (num, den) in zip(dx, p.gradient_pairs())
+        if coeff and num
+    ]
     return ArrFrac(*sum_pairs(p.nvars, pairs))
 
 

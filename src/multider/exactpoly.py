@@ -35,9 +35,16 @@ Representations:
   one sum of unreduced products over their common denominator and
   reduces it once; the reduced form is canonical, so this equals reducing
   term by term.  The unreduced pieces of such sums (``product_pair``,
-  ``ArrFrac.diff_pair``, ``sum_pairs``) serve other fused sums too, such
+  ``ArrFrac.gradient_pairs``, ``sum_pairs``) serve other fused sums too, such
   as a derivation applied to a fraction.  No certificate takes the determinant of a large
   polynomial matrix: ``saito`` evaluates it at one point instead.
+
+Exact division runs a division plan, built once per divisor and kept in a
+bounded cache: its content and the kernel for its primitive part (monomial,
+linear form or general heap).  ``strip_factor`` divides by one factor as
+often as it can, up to a limit, on the integer terms and canonicalises once;
+every reduction and membership test runs through it.
+``ArrFrac.gradient_pairs`` forms all l partial derivatives by one quotient rule.
 
 All values are immutable after construction; all operations are pure.
 """
@@ -56,6 +63,7 @@ __all__ = [
     "Matrix",
     "UnsupportedDenominator",
     "divide_exact",
+    "strip_factor",
     "is_constant_multiple",
     "canonical_factor",
     "expand_factor_powers",
@@ -563,6 +571,10 @@ def _mul_poly(a: Poly, b: Poly) -> Poly:
     ia, ib = a._t, b._t
     if len(ia) > len(ib):
         ia, ib = ib, ia
+    if len(ia) == 1:
+        # a one-term operand shifts the other's keys, so no two products collide
+        (ka, ca), = ia.items()
+        return _canon(a.nvars, {ka + kb: ca * cb for kb, cb in ib.items()}, a._d * b._d)
     items_b = list(ib.items())
     raw: dict[int, int] = {}
     get = raw.get
@@ -590,62 +602,85 @@ def divide_exact(num: Poly, div: Poly) -> Poly | None:
     Never returns an approximate quotient: the remainder is tracked term by
     term and any nonzero residue aborts with None.
     """
+    q, count = strip_factor(num, div, 1)
+    return q if count else None
+
+
+def strip_factor(num: Poly, div: Poly, limit: int) -> tuple[Poly, int]:
+    """(num / div^c, c) for the largest c <= limit with div^c | num.
+
+    The divisions run on the integer terms of num with the division plan of
+    div, and only the last quotient is brought to canonical form; c < limit
+    means that the next exact division failed.  Zero is returned with limit.
+    """
     if num.nvars != div.nvars:
         raise ValueError("variable count mismatch in division")
     if not div._t:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num._t:
-        return num
-    n = num.nvars
-    g = math.gcd(*div._t.values())
-    dt = div._t if g == 1 else {k: v // g for k, v in div._t.items()}
+        return num, limit
+    g, dd, kernel = _division_plan(div)
+    t, count = num._t, 0
+    while count < limit:
+        q = kernel(t)
+        if q is None:
+            break
+        t, count = q, count + 1
+    if not count:
+        return num, 0
+    # num / div^c = (N / num._d) / ((g / div._d) * P)^c = Q * div._d^c / (g^c * num._d)
+    if dd != 1:
+        lift = dd**count
+        t = {k: v * lift for k, v in t.items()}
+    return _canon(num.nvars, t, g**count * num._d), count
 
-    if len(dt) == 1:
+
+@functools.lru_cache(maxsize=256)
+def _division_plan(div: Poly):
+    """(content g, div._d, kernel) for a nonzero divisor, built once per
+    divisor: kernel maps the integer terms N of a numerator to N / P, P the
+    primitive part of div, or to None when P does not divide N."""
+    shifts, deg_shift, guard = _layout(div.nvars)
+    g = math.gcd(*div._t.values())
+    items = sorted(((k, v // g) for k, v in div._t.items()), reverse=True)
+    kd, cd = items[0]
+    if len(items) == 1:
         # a primitive monomial is +-x^kd
-        (kd, sign), = dt.items()
-        _, _, guard = _layout(n)
-        q = {}
-        for k, c in num._t.items():
-            if (((k | guard) - kd) & guard) != guard:
-                return None
-            q[k - kd] = c * sign
-    elif div.degree() == 1 and div.is_homogeneous():
+        kernel = functools.partial(_divide_monomial, guard, kd, cd)
+    elif kd >> deg_shift == 1 and items[-1][0] >> deg_shift == 1:
         # dedicated kernel for linear forms, the divisors that dominate the
         # reduction work of the pipeline
-        q = _divide_linear(n, num._t, dt)
+        sa = next(s for s in shifts if (kd >> s) & _MASK)
+        kernel = functools.partial(
+            _divide_linear, sa, kd, cd, tuple((k - kd, -c) for k, c in items[1:])
+        )
     else:
-        q = _divide_general(n, num._t, dt)
-    if q is None:
-        return None
-    # num / div = (N / num._d) / ((g / div._d) * P) = Q * div._d / (g * num._d)
-    dd = div._d
-    if dd != 1:
-        q = {k: v * dd for k, v in q.items()}
-    return _canon(n, q, g * num._d)
+        kernel = functools.partial(_divide_general, guard, kd, cd, tuple(items[1:]))
+    return g, div._d, kernel
 
 
-def _divide_linear(n: int, nt: dict[int, int], dt: dict[int, int]) -> dict[int, int] | None:
+def _divide_monomial(guard, kd, sign, nt: dict[int, int]) -> dict[int, int] | None:
+    q = {}
+    for k, c in nt.items():
+        if (((k | guard) - kd) & guard) != guard:
+            return None
+        q[k - kd] = c * sign
+    return q
+
+
+def _divide_linear(sa, one_a, c1, rest, nt: dict[int, int]) -> dict[int, int] | None:
     """Synthetic division by a primitive homogeneous linear form.
 
-    Writing the divisor as c_a x_a + S (x_a its graded-lex leading
-    variable) and the numerator as sum x_a^i P_i, the quotient levels
-    satisfy Q_{i-1} = (P_i - S Q_i) / c_a descending from the top, with
+    Writing the divisor as c_a x_a + S (x_a its graded-lex leading variable,
+    key one_a, field shift sa; rest holds (key - one_a, -c) per term of S)
+    and the numerator as sum x_a^i P_i, the quotient levels satisfy
+    Q_{i-1} = (P_i - S Q_i) / c_a descending from the top, with
     remainder P_0 - S Q_0 that must vanish identically.  Every level is
     integral when the division is exact, so a coefficient that c_a does
     not divide ends the search at once.  Cost is linear in the number of
     terms times the divisor width, and no heap is needed because every
     generated key stays on its x_a level.
     """
-    shifts, deg_shift, _ = _layout(n)
-    items = sorted(dt.items(), reverse=True)
-    (k1, c1) = items[0]
-    a_idx = next(i for i, s in enumerate(shifts) if (k1 >> s) & _MASK)
-    sa = shifts[a_idx]
-    rest = []
-    for k2, c2 in items[1:]:
-        b_idx = next(i for i, s in enumerate(shifts) if (k2 >> s) & _MASK)
-        rest.append(((1 << shifts[b_idx]) - (1 << sa), -c2))
-
     levels: dict[int, dict[int, int]] = {}
     for k, v in nt.items():
         levels.setdefault((k >> sa) & _MASK, {})[k] = v
@@ -653,7 +688,6 @@ def _divide_linear(n: int, nt: dict[int, int], dt: dict[int, int]) -> dict[int, 
     if d == 0:
         return None
 
-    one_a = (1 << sa) | (1 << deg_shift)
     quotient: dict[int, int] = {}
     q_prev: dict[int, int] = {}
     for i in range(d - 1, -1, -1):
@@ -689,14 +723,9 @@ def _divide_linear(n: int, nt: dict[int, int], dt: dict[int, int]) -> dict[int, 
     return None if rem else quotient
 
 
-def _divide_general(n: int, nt: dict[int, int], dt: dict[int, int]) -> dict[int, int] | None:
-    """Leading-term division by a primitive divisor, with a lazy max-heap
-    over the working remainder."""
-    _, _, guard = _layout(n)
-    kd = max(dt)
-    cd = dt[kd]
-    rest = [(k, c) for k, c in sorted(dt.items(), reverse=True) if k != kd]
-
+def _divide_general(guard, kd, cd, rest, nt: dict[int, int]) -> dict[int, int] | None:
+    """Leading-term division by a primitive divisor with leading term cd x^kd
+    and further terms rest, with a lazy max-heap over the working remainder."""
     rem = dict(nt)
     heap = [-k for k in rem]
     heapq.heapify(heap)
@@ -775,6 +804,7 @@ def canonical_factor(p: Poly) -> tuple[Poly, Fraction]:
     return Poly._raw(p.nvars, {k: v // g for k, v in p._t.items()}, 1), scale
 
 
+@functools.lru_cache(maxsize=256)
 def factor_sort_key(f: Poly):
     """Deterministic total order on canonical factors (graded-lex on terms)."""
     return tuple(sorted(f._t.items(), reverse=True))
@@ -792,12 +822,13 @@ def _factor_power(f: Poly, e: int) -> Poly:
 
 def expand_factor_powers(nvars: int, powers: Mapping[Poly, int]) -> Poly:
     """The polynomial prod f^e over a factor-exponent map."""
-    acc = Poly.const(nvars, 1)
+    acc = None
     for f in sorted_factors(powers):
         e = powers[f]
         if e:
-            acc = acc * _factor_power(f, e)
-    return acc
+            fe = _factor_power(f, e)
+            acc = fe if acc is None else acc * fe
+    return Poly.const(nvars, 1) if acc is None else acc
 
 
 def product_pair(a: "ArrFrac", num: Poly, den: Mapping[Poly, int]) -> tuple[Poly, dict[Poly, int]]:
@@ -854,14 +885,9 @@ class ArrFrac:
                     e = work[f]
                     if e < 0:
                         raise ValueError("denominator exponents must be positive")
-                    while e > 0:
-                        q = divide_exact(num, f)
-                        if q is None:
-                            break
-                        num = q
-                        e -= 1
-                    if e:
-                        reduced[f] = e
+                    num, done = strip_factor(num, f, e)
+                    if e > done:
+                        reduced[f] = e - done
                 work = reduced
             else:
                 work = {}
@@ -980,12 +1006,9 @@ class ArrFrac:
         rem = self.num
         new_den: dict[Poly, int] = {}
         for f in sorted_factors(candidates):
-            while True:
-                q = divide_exact(rem, f)
-                if q is None:
-                    break
-                rem = q
-                new_den[f] = new_den.get(f, 0) + 1
+            rem, e = strip_factor(rem, f, rem.degree())
+            if e:
+                new_den[f] = e
         if not rem.is_constant():
             raise UnsupportedDenominator(rem)
         c = rem.constant_value()
@@ -1002,39 +1025,44 @@ class ArrFrac:
     # -- calculus and substitution --------------------------------------------
 
     def diff(self, index: int) -> "ArrFrac":
-        """Partial derivative: ``diff_pair`` reduced."""
-        return ArrFrac(*self.diff_pair(index))
+        """Partial derivative: the index-th of ``gradient_pairs``, reduced."""
+        if not 0 <= index < self.nvars:
+            raise ValueError(f"variable index {index} out of range")
+        return ArrFrac(*self.gradient_pairs()[index])
 
-    def diff_pair(self, index: int) -> tuple[Poly, dict[Poly, int]]:
-        """The unreduced partial derivative as (numerator, denominator
-        exponents), by the quotient rule on the factored form.
-
-        With u = prod f^e the result is (num' * prod f - num * dlog) / (u * prod f)
-        where dlog = sum_f e_f * f' * prod_{g != f} g, assembled with
-        prefix/suffix products so each factor is touched once.
+    def gradient_pairs(self) -> list[tuple[Poly, dict[Poly, int]]]:
+        """The l unreduced partial derivatives as (numerator, denominator
+        exponents), by one quotient rule on the factored form: with
+        u = prod f^e and F = prod f, the i-th numerator over u * F is
+        d_i num * F - num * sum_f e_f * d_i f * prod_{g != f} g.  The
+        cofactors prod_{g != f} g come once for all i from prefix and suffix
+        products, and a linear factor's d_i f enters as a scalar.
         """
+        n = self.nvars
         if not self.den:
-            return self.num.diff(index), {}
+            return [(self.num.diff(i), {}) for i in range(n)]
         den_new = {f: e + 1 for f, e in self.den.items()}
         factors = sorted_factors(self.den)
-        n = len(factors)
-        one = Poly.const(self.nvars, 1)
-        prefix = [one]
+        one = Poly.const(n, 1)
+        prefix, suffix = [one], [one]
         for f in factors:
             prefix.append(prefix[-1] * f)
-        suffix = [one] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] * factors[i]
-        prod_all = prefix[n]
-        dlog = Poly.zero(self.nvars)
-        for i, f in enumerate(factors):
-            df = f.diff(index)
-            if df:
-                dlog = dlog + (prefix[i] * suffix[i + 1]) * df * self.den[f]
-        num_new = self.num.diff(index) * prod_all
-        if dlog:
-            num_new = num_new - self.num * dlog
-        return num_new, den_new
+        for f in reversed(factors[1:]):
+            suffix.append(f * suffix[-1])
+        cofactors = [p * s for p, s in zip(prefix, reversed(suffix))]
+        pairs = []
+        for i in range(n):
+            dlog = Poly.zero(n)
+            for f, cofactor in zip(factors, cofactors):
+                df = f.diff(i)
+                if df:
+                    e = self.den[f]
+                    dlog = dlog + cofactor * (df.constant_value() * e if df.is_constant() else df * e)
+            num_new = self.num.diff(i) * prefix[-1]
+            if dlog:
+                num_new = num_new - self.num * dlog
+            pairs.append((num_new, dict(den_new)))
+        return pairs
 
     def substitute_linear(self, matrix) -> "ArrFrac":
         num = self.num.substitute_linear(matrix)

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactpoly import Matrix, Poly, binary_components, det_at, divide_exact, product_at
+from .exactpoly import Matrix, Poly, binary_components, det_at, product_at, strip_factor
 
 __all__ = [
     "Certificate",
@@ -69,12 +69,8 @@ def _line_test(alpha: Poly):
         for i, c in coeffs:
             if column[i]:
                 cur = cur + column[i] * c
-        for step in range(m):
-            nxt = divide_exact(cur, alpha)
-            if nxt is None:
-                return step, str(cur)
-            cur = nxt
-        return None
+        cur, done = strip_factor(cur, alpha, m)
+        return None if done == m else (done, str(cur))
 
     return failure
 

@@ -11,6 +11,7 @@ from multider.exactpoly import (
     Poly,
     UnsupportedDenominator,
     divide_exact,
+    expand_factor_powers,
     mat_det_adj,
 )
 
@@ -55,6 +56,25 @@ def test_derivative_quotient_rule_univariate():
     inv = ArrFrac(Poly.const(1, 1), {y: 1})
     d = inv.diff(0)
     assert d == ArrFrac(Poly.const(1, -1), {y: 2})
+
+
+def test_gradient_pairs_match_an_independent_quotient_rule():
+    y1, y2, y3 = (Poly.variable(3, i) for i in range(3))
+    quad = y1**2 + y2**2 + 2 * y3**2
+    den = {y1: 2, y1 - y2: 1, y1 + y2 + y3: 3, quad: 2, 2 * y1 - y3: 1}
+    frac = ArrFrac(y1**3 * y3 - 2 * y2**2 * quad + y3 * Fraction(1, 3), den)
+    assert frac.den == den
+    u = expand_factor_powers(3, den)
+    pairs = frac.gradient_pairs()
+    assert len(pairs) == 3
+    for i, (num, pair_den) in enumerate(pairs):
+        assert pair_den == {f: e + 1 for f, e in den.items()}
+        # d/dx_i (n / u) = (n' u - n u') / u^2
+        expect = ArrFrac(frac.num.diff(i) * u - frac.num * u.diff(i),
+                         {f: 2 * e for f, e in den.items()})
+        assert ArrFrac(num, pair_den) == expect == frac.diff(i)
+    poly = ArrFrac.from_poly(quad * y2)
+    assert poly.gradient_pairs() == [((quad * y2).diff(i), {}) for i in range(3)]
 
 
 def test_degree_bookkeeping():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from multider import golden, verify
+from multider import cli, golden, verify
 from multider.cli import main
 from multider.exactpoly import Matrix, Poly, UnsupportedDenominator, poly_from_records
 from multider.derivations import PipelineError, p_matrix
@@ -131,6 +131,20 @@ def test_verify_internal_error_exits_1(capsys, monkeypatch, fault):
     code, out, err = run_cli(["verify", "B2", "--m", "1", "--checks", "degrees"], capsys)
     assert code == 1 and out == ""
     assert err == f"internal error: {fault}\n"
+
+
+@pytest.mark.parametrize("owner,argv", [
+    (cli, ["basis", "B2", "--m", "2"]),
+    (verify, ["verify", "B2", "--m", "2", "--checks", "ziegler"]),
+])
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, owner, argv):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("injected fault")
+
+    monkeypatch.setattr(owner, "p_matrix", broken)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == "internal error: ZeroDivisionError: injected fault\n"
 
 
 def test_verify_orbit_flag_surfaced(capsys):

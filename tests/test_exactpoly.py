@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from multider.coxeter import get_system
 from multider.exactpoly import (
     Matrix,
     Poly,
@@ -14,6 +15,7 @@ from multider.exactpoly import (
     mat_det_adj,
     poly_from_records,
     poly_to_records,
+    strip_factor,
 )
 
 
@@ -247,6 +249,62 @@ def test_division_paths_keep_the_canonical_form(num, div):
 ])
 def test_division_paths_reject_non_multiples(num, div):
     assert divide_exact(num, div) is None
+
+
+def _divisors():
+    """Divisors with content, with a denominator, a monomial with content and
+    the orbit factor of I2(5), bare and scaled."""
+    orbit = next(f for f in get_system("I2(5)").factors if f.degree() > 1)
+    return [2 * x1 - 4 * x2, (x1 + x2) * Fraction(1, 3), 3 * x1**2, orbit,
+            orbit * Fraction(-2, 7)]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_divide_exact_against_multiply_back(index):
+    div = _divisors()[index]
+    for q0 in (Poly.const(2, Fraction(5, 6)), x1 * Fraction(2, 3) - x2,
+               (x1 + 2 * x2) ** 3 * Fraction(1, 4) + x1 * x2**2):
+        num = q0 * div
+        q = divide_exact(num, div)
+        assert q is not None and q * div == num and q == q0
+        assert_canonical(q)
+        # no divisor here divides any of these remainders, so num + r has no
+        # exact quotient
+        for r in (Poly.const(2, 1), x2**3, x1 * x2**4 * Fraction(1, 2)):
+            assert divide_exact(num + r, div) is None
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_strip_factor_against_repeated_division(index):
+    div = _divisors()[index]
+    num = div**3 * (x1 + 5 * x2) * Fraction(3, 2)
+    expect, count = num, 0
+    while (q := divide_exact(expect, div)) is not None:
+        expect, count = q, count + 1
+    assert count == 3
+    assert strip_factor(num, div, 9) == (expect, 3)
+    # a limit below the multiplicity stops early, at the same quotients
+    q, done = strip_factor(num, div, 2)
+    assert done == 2 and q == divide_exact(divide_exact(num, div), div)
+    assert q * div**2 == num
+    assert_canonical(q)
+    assert strip_factor(num, div, 0) == (num, 0)
+    assert strip_factor(Poly.zero(2), div, 4) == (Poly.zero(2), 4)
+
+
+@pytest.mark.parametrize("single", [
+    Poly.const(2, Fraction(-3, 4)), x1**2 * x2 * Fraction(5, 2), Poly.const(2, 1),
+], ids=str)
+def test_single_term_products(single):
+    other = a * b
+    (exps, c), = single.items()
+    expected = Poly(2, {tuple(e + f for e, f in zip(exps, oe)): c * oc
+                        for oe, oc in other.items()})
+    for left, right in ((single, other), (other, single)):
+        got = left * right
+        assert got == expected
+        assert got._t is not single._t and got._t is not other._t
+        assert_canonical(got)
 
 
 def test_equal_polynomials_from_different_routes():
