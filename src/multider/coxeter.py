@@ -83,7 +83,6 @@ class CoxeterSystem:
         "key",
         "family",
         "rank",
-        "order_param",
         "factors",
         "invariants",
         "exponents",
@@ -95,12 +94,11 @@ class CoxeterSystem:
         "orbit_level",
     )
 
-    def __init__(self, key, family, rank, order_param, factors, invariants,
-                 exponents, gram, generators):
+    def __init__(self, key, family, rank, factors, invariants, exponents, gram,
+                 generators):
         self.key = key
         self.family = family
         self.rank = rank
-        self.order_param = order_param
         self.factors = tuple(sorted_factors(factors))
         self.invariants = tuple(invariants)
         self.exponents = tuple(exponents)
@@ -112,10 +110,6 @@ class CoxeterSystem:
         self._q_poly = None
         self.orbit_level = any(f.degree() > 1 for f in self.factors)
         self.det_jf_constant = _certify(self)
-
-    @property
-    def nvars(self) -> int:
-        return self.rank
 
     @property
     def q_poly(self) -> Poly:
@@ -235,7 +229,7 @@ def _build_b(rank: int) -> CoxeterSystem:
     flip = [[Fraction(int(i == j)) for j in range(rank)] for i in range(rank)]
     flip[0][0] = Fraction(-1)
     generators = [flip] + [_transposition(rank, i, i + 1) for i in range(rank - 1)]
-    return CoxeterSystem(f"B{rank}", "B", rank, None, factors, invariants,
+    return CoxeterSystem(f"B{rank}", "B", rank, factors, invariants,
                          exponents, gram, generators)
 
 
@@ -259,7 +253,7 @@ def _build_d(rank: int) -> CoxeterSystem:
     twist[0][0] = twist[1][1] = Fraction(0)
     twist[0][1] = twist[1][0] = Fraction(-1)
     generators = [_transposition(rank, i, i + 1) for i in range(rank - 1)] + [twist]
-    return CoxeterSystem(f"D{rank}", "D", rank, None, factors, invariants,
+    return CoxeterSystem(f"D{rank}", "D", rank, factors, invariants,
                          exponents, gram, generators)
 
 
@@ -296,7 +290,7 @@ def _build_a(rank: int) -> CoxeterSystem:
     for i in range(rank):
         last[i][rank - 1] = Fraction(-1)
     generators.append(last)
-    return CoxeterSystem(f"A{rank}", "A", rank, None, factors, invariants,
+    return CoxeterSystem(f"A{rank}", "A", rank, factors, invariants,
                          exponents, gram, generators)
 
 
@@ -372,7 +366,7 @@ def _build_i2(m: int) -> CoxeterSystem:
         generators.append([[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(1)]])
     if m % 4 == 0:
         generators.append([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
-    return CoxeterSystem(f"I2({m})", "I2", 2, m, factors, invariants,
+    return CoxeterSystem(f"I2({m})", "I2", 2, factors, invariants,
                          exponents, gram, generators)
 
 

@@ -33,7 +33,8 @@ From these the module constructs:
 
 * ``b_matrix``: the invariant matrix
   B^(k) = -J(f)^T Gram J(D^k x) J(D^{k-1} x)^{-1} J(f), by that definition
-  or through the closed form k*B^(1) + (k-1)*B^(1)^T.
+  for k = 1 and by the closed form k*B^(1) + (k-1)*B^(1)^T for k >= 2; the
+  product identities of P_{2k-2} and P_{2k} prove the two equal.
 
 Every step that the theory promises to be polynomial is asserted to be so;
 a failed assertion raises PipelineError, which always indicates a bug (in
@@ -90,7 +91,7 @@ _dx_cache: dict[str, tuple[ArrFrac, ...]] = {}
 _dkx_cache: dict[tuple[str, int], tuple[ArrFrac, ...]] = {}
 _jdkx_cache: dict[tuple[str, int], Matrix] = {}
 _pm_cache: dict[tuple[str, int], "DerivationBasis"] = {}
-_b_cache: dict[tuple[str, int, str], "BMatrix"] = {}
+_b_cache: dict[tuple[str, int], "BMatrix"] = {}
 _saito_cache: dict[tuple[str, int], Certificate] = {}
 
 
@@ -268,7 +269,7 @@ def step_matrix(system: CoxeterSystem, m: int) -> Matrix:
     if m % 2 == 1:
         return system.jacobian_of_invariants()
     k = m // 2
-    det_b, adj_b = mat_det_adj(b_matrix(system, k, route="closed_form").matrix)
+    det_b, adj_b = mat_det_adj(b_matrix(system, k).matrix)
     if not det_b.is_constant():
         raise PipelineError(f"{system.key}: det B^({k}) is not constant: {det_b}")
     c = det_b.constant_value()
@@ -348,47 +349,46 @@ def jdkx_det_constant(system: CoxeterSystem, k: int) -> Fraction:
 class BMatrix:
     system_key: str
     k: int
-    route: str
     matrix: Matrix  # over Poly; entries invariant, degree m_i + m_j - h
 
 
-def b_matrix(system: CoxeterSystem, k: int, route: str = "definition") -> BMatrix:
-    """B^(k) = -J(f)^T Gram J(D^k x) J(D^{k-1} x)^{-1} J(f).
+def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
+    """The invariant matrix B^(k): B^(1) = -J(f)^T Gram J(D x) J(f) by
+    definition, and B^(k) = k B^(1) + (k-1) B^(1)^T for k >= 2.
 
-    The closed_form route expands k*B^(1) + (k-1)*B^(1)^T instead (both
-    routes coincide for k = 1 where the closed form degenerates).
+    The definition B_def^(k) = -J(f)^T Gram J(D^k x) J(D^(k-1) x)^{-1} J(f)
+    is not computed for k >= 2; the certificates of ``p_matrix`` prove it
+    equal to the closed form B_c^(k).  Write C(j) for P_{2j} J(D^j x) = Gram
+    (``certify_direct_formula``); C(0) holds trivially.  C(j) makes P_{2j}
+    invertible with J(D^j x) = P_{2j}^{-1} Gram.  With C(k - 1), C(k),
+    P_1 = Gram J(f) (Gram symmetric) and P_{2k-1} = P_{2k-2} J(f):
+
+        B_def^(k) = -J(f)^T Gram P_{2k}^{-1} Gram Gram^{-1} P_{2k-2} J(f)
+                  = -P_1^T P_{2k}^{-1} P_{2k-1}.
+
+    The even step built P_{2k} = -P_{2k-1} (B_c^(k))^{-1} P_1^T, so
+    P_{2k}^{-1} = -(P_1^T)^{-1} B_c^(k) P_{2k-1}^{-1} (P_{2k} invertible
+    makes P_1 and P_{2k-1} invertible), and B_def^(k) = B_c^(k).  Building
+    P_{2k} runs C(j) for every j <= k, so B^(k) by definition is certified
+    by P_{2k} without a product over fractions.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if route not in ("definition", "closed_form"):
-        raise ValueError(f"unknown route: {route!r}")
-    if route == "closed_form" and k == 1:
-        route = "definition"
-    cached = _b_cache.get((system.key, k, route))
+    cached = _b_cache.get((system.key, k))
     if cached is not None:
         return cached
-    if route == "definition":
+    if k == 1:
         jf = system.jacobian_of_invariants()
-        work = jf.transpose() @ system.gram_matrix(frac=True) @ jdkx(system, k)
-        if k > 1:
-            work = work @ jdkx_inverse(system, k - 1)
-        work = work @ jf
-        rows = []
+        work = jf.transpose() @ system.gram_matrix(frac=True) @ jdkx(system, 1) @ jf
         for i in range(system.rank):
-            row = []
             for j in range(system.rank):
-                e = work[i][j]
-                if not e.is_polynomial():
-                    raise PipelineError(
-                        f"{system.key}: entry ({i + 1},{j + 1}) of B^({k}) did not "
-                        f"clear its denominator: {e}"
-                    )
-                row.append(-e.as_poly())
-            rows.append(row)
-        mat = Matrix(rows)
+                if not work[i][j].is_polynomial():
+                    raise PipelineError(f"{system.key}: entry ({i + 1},{j + 1}) of "
+                                        f"B^(1) did not clear its denominator: {work[i][j]}")
+        mat = work.map(lambda e: -e.as_poly())
     else:
-        b1 = b_matrix(system, 1, route="definition").matrix
+        b1 = b_matrix(system, 1).matrix
         mat = b1.map(lambda p: p * k) + b1.transpose().map(lambda p: p * (k - 1))
-    result = BMatrix(system.key, k, route, mat)
-    _b_cache[(system.key, k, route)] = result
+    result = BMatrix(system.key, k, mat)
+    _b_cache[(system.key, k)] = result
     return result

@@ -1015,13 +1015,6 @@ class ArrFrac:
         new_num = expand_factor_powers(self.nvars, self.den) * (1 / c)
         return ArrFrac(new_num, new_den)
 
-    def div(self, other, extra_factors: Iterable[Poly] = ()) -> "ArrFrac":
-        other = self._coerce(other, self.nvars)
-        return self * other.inverse(extra_factors)
-
-    def __truediv__(self, other):
-        return self.div(other)
-
     # -- calculus and substitution --------------------------------------------
 
     def diff(self, index: int) -> "ArrFrac":
@@ -1149,12 +1142,6 @@ class Matrix:
 
     def to_frac(self) -> "Matrix":
         return self.map(lambda v: v if isinstance(v, ArrFrac) else ArrFrac.from_poly(v))
-
-    def to_poly(self) -> "Matrix":
-        def conv(v):
-            return v.as_poly() if isinstance(v, ArrFrac) else v
-
-        return self.map(conv)
 
     def has_frac(self) -> bool:
         return any(isinstance(v, ArrFrac) for row in self._e for v in row)

@@ -39,9 +39,11 @@ The checks, by name as used in reports and on the command line:
 * b-properties  polynomiality, invariance, degree table, southeast shape,
                 antidiagonal relation, central block (type D, even rank),
                 constant determinant (one evaluation: with the degree table
-                det B^(k) is homogeneous of degree 2|A| - l h = 0), the
-                difference identity B^(k+1) - B^(k) = B^(1) + B^(1)^T and
-                the closed form B^(k+1) = (k+1) B^(1) + k B^(1)^T.
+                det B^(k) is homogeneous of degree 2|A| - l h = 0); by
+                definition, B^(k) and B^(k+1) equal their closed forms and
+                B^(k+1) - B^(k) = B^(1) + B^(1)^T, certified by recomputing
+                P_{2j} J(D^j x) = Gram on the memoised P_{2j}, j = k-1..k+1
+                (the proof is in ``derivations.b_matrix``).
 * equivariance  g[J(D^k x)] = rho^-1 J(D^k x) rho, g[J(f)] = rho^-1 J(f),
                 and g[P_m] = rho^T P_m for odd m, for every stored
                 generator.
@@ -63,6 +65,7 @@ from .coxeter import CoxeterSystem
 from .derivations import (
     DerivationBasis,
     PipelineError,
+    _expected_degrees,
     apply_derivation,
     b_matrix,
     certify_direct_formula,
@@ -187,11 +190,7 @@ def verify_membership(system: CoxeterSystem, basis: DerivationBasis) -> CheckRec
 
 def verify_degrees(system: CoxeterSystem, basis: DerivationBasis) -> CheckRecord:
     t0 = time.perf_counter()
-    k = basis.m // 2
-    if basis.m % 2 == 0:
-        expected = (k * system.h,) * system.rank
-    else:
-        expected = tuple(k * system.h + e for e in system.exponents)
+    expected = _expected_degrees(system, basis.m)
     for j in range(system.rank):
         for i in range(system.rank):
             e = basis.matrix[i][j]
@@ -329,19 +328,46 @@ def _central_block(system: CoxeterSystem) -> set[tuple[int, int]]:
     return set()
 
 
-def verify_b_properties(system: CoxeterSystem, k: int,
-                        next_route: str = "definition") -> list[CheckRecord]:
-    """Structural properties of B^(k) plus the step identities to B^(k+1)."""
+def _direct_formula_witness(system: CoxeterSystem, levels, outcomes: dict) -> dict | None:
+    """None when P_{2j} J(D^j x) = Gram holds for every j in levels, else
+    the failure of the first j that breaks it.  Each identity is recomputed
+    on the memoised P_{2j}, once per j: outcomes keeps them per caller."""
+    for j in levels:
+        if j not in outcomes:
+            try:
+                certify_direct_formula(system, j, p_matrix(system, 2 * j).matrix)
+                outcomes[j] = None
+            except PipelineError as err:
+                outcomes[j] = {"reason": str(err)}
+        if outcomes[j] is not None:
+            return outcomes[j]
+    return None
+
+
+def _certified_record(name: str, witness: dict | None, detail: dict) -> CheckRecord:
+    return CheckRecord(name, "pass" if witness is None else "fail", detail, witness)
+
+
+def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
+    """Structural properties of B^(k) plus the step identities to B^(k+1).
+
+    B^(j) by definition equals the closed form exactly when the product
+    identities C(j - 1) and C(j) hold, C(j) being P_{2j} J(D^j x) = Gram
+    (see ``derivations.b_matrix``), so the records that compare the
+    definition with the closed form recompute those identities.
+    """
     records: list[CheckRecord] = []
     ell = system.rank
     exps = system.exponents
     h = system.h
     central = _central_block(system)
+    outcomes: dict[int, dict | None] = {}
 
     t0 = time.perf_counter()
-    bk = b_matrix(system, k, route="definition").matrix
-    bk_closed = b_matrix(system, k, route="closed_form").matrix
-    records.append(_finish(_eq_record(f"b({k}).def_eq_closed", bk, bk_closed), t0))
+    bk = b_matrix(system, k).matrix
+    b1 = b_matrix(system, 1).matrix
+    witness = _direct_formula_witness(system, range(max(1, k - 1), k + 1), outcomes)
+    records.append(_finish(_certified_record(f"b({k}).def_eq_closed", witness, {}), t0))
 
     t0 = time.perf_counter()
     rec = CheckRecord(f"b({k}).degrees", "pass", {"rule": "m_i + m_j - h"})
@@ -394,7 +420,6 @@ def verify_b_properties(system: CoxeterSystem, k: int,
     t0 = time.perf_counter()
     rec = CheckRecord(f"b({k}).antidiagonal", "pass",
                       {"rule": "entries in Q*; m_i B_ij = m_j B_ji at level 1"})
-    b1m = b_matrix(system, 1, route="definition").matrix
     for i in range(ell):
         j = ell - 1 - i
         if (i, j) in central:
@@ -402,12 +427,12 @@ def verify_b_properties(system: CoxeterSystem, k: int,
         e_ij, e_ji = bk[i][j], bk[j][i]
         ok = (e_ij.is_constant() and e_ji.is_constant()
               and e_ij.constant_value() != 0
-              and b1m[i][j] * exps[i] == b1m[j][i] * exps[j])
+              and b1[i][j] * exps[i] == b1[j][i] * exps[j])
         if not ok:
             rec = CheckRecord(f"b({k}).antidiagonal", "fail", {},
                               {"entry": [i + 1, j + 1], "b_ij": str(e_ij),
                                "b_ji": str(e_ji),
-                               "b1_ij": str(b1m[i][j]), "b1_ji": str(b1m[j][i])})
+                               "b1_ij": str(b1[i][j]), "b1_ji": str(b1[j][i])})
             break
     records.append(_finish(rec, t0))
 
@@ -415,7 +440,6 @@ def verify_b_properties(system: CoxeterSystem, k: int,
         t0 = time.perf_counter()
         p = system.rank // 2 - 1
         block = [[bk[p][p], bk[p][p + 1]], [bk[p + 1][p], bk[p + 1][p + 1]]]
-        b1 = b_matrix(system, 1, route="definition").matrix
         block1 = [[b1[p][p], b1[p][p + 1]], [b1[p + 1][p], b1[p + 1][p + 1]]]
         ok = all(e.is_constant() for row in block for e in row)
         ok = ok and block[0][1] == block[1][0]
@@ -446,18 +470,17 @@ def verify_b_properties(system: CoxeterSystem, k: int,
                else CheckRecord(name, "fail", {}, {"point": list(point), "value": "0"}))
     records.append(_finish(rec, t0))
 
+    # B^(k+1) - B^(k) and the closed form of B^(k+1), both by definition;
+    # the detail key names the route these records have always checked
     t0 = time.perf_counter()
-    bk1 = b_matrix(system, k + 1, route=next_route).matrix
-    b1 = b_matrix(system, 1, route="definition").matrix
-    diff = bk1 - bk
-    want = b1 + b1.transpose()
-    records.append(_finish(_eq_record(f"b({k}).difference", diff, want), t0))
-    records[-1].detail["next_route"] = next_route
+    witness = _direct_formula_witness(system, range(max(1, k - 1), k + 2), outcomes)
+    records.append(_finish(_certified_record(
+        f"b({k}).difference", witness, {"next_route": "definition"}), t0))
 
     t0 = time.perf_counter()
-    closed = b1.map(lambda p: p * (k + 1)) + b1.transpose().map(lambda p: p * k)
-    records.append(_finish(_eq_record(f"b({k}).closed_formula", bk1, closed), t0))
-    records[-1].detail["next_route"] = next_route
+    witness = _direct_formula_witness(system, (k, k + 1), outcomes)
+    records.append(_finish(_certified_record(
+        f"b({k}).closed_formula", witness, {"next_route": "definition"}), t0))
     return records
 
 
@@ -501,14 +524,8 @@ def verify_recursion(system: CoxeterSystem, m: int) -> CheckRecord:
     """The product identity P_{2k} J(D^k x) = Gram, recomputed even when
     P_{2k} comes from the memo."""
     t0 = time.perf_counter()
-    k = m // 2
-    try:
-        certify_direct_formula(system, k, p_matrix(system, 2 * k).matrix)
-    except PipelineError as err:
-        return _finish(
-            CheckRecord("recursion", "fail", {"m": m}, {"reason": str(err)}), t0
-        )
-    return _finish(CheckRecord("recursion", "pass", {"m": m}), t0)
+    witness = _direct_formula_witness(system, (m // 2,), {})
+    return _finish(_certified_record("recursion", witness, {"m": m}), t0)
 
 
 def verify_nesting(system: CoxeterSystem, m: int) -> CheckRecord:

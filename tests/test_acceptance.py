@@ -12,6 +12,7 @@ import time
 import pytest
 
 import propcheck
+from oracles import b_by_definition
 from multider import golden
 from multider.coxeter import get_system, symmetric_polys
 from multider.derivations import (
@@ -127,16 +128,18 @@ def test_criterion_04_b_matrix_identities():
     def body():
         for key in ("B2", "B3", "D4", "A3"):
             s = get_system(key)
-            b1 = b_matrix(s, 1, route="definition").matrix
+            b1 = b_by_definition(s, 1)
+            assert b_matrix(s, 1).matrix == b1, key
             want_diff = b1 + b1.transpose()
             for k in (1, 2, 3):
-                bk = b_matrix(s, k, route="definition").matrix
-                bk1 = b_matrix(s, k + 1, route="definition").matrix
+                bk = b_by_definition(s, k)
+                bk1 = b_by_definition(s, k + 1)
+                assert b_matrix(s, k + 1).matrix == bk1, (key, k + 1)
                 assert bk1 - bk == want_diff, (key, k)
                 closed = b1.map(lambda p: p * (k + 1)) + b1.transpose().map(
                     lambda p: p * k)
                 assert bk1 == closed, (key, k)
-                for rec in verify_b_properties(s, k, next_route="definition"):
+                for rec in verify_b_properties(s, k):
                     assert rec.status == "pass", (key, k, rec.name, rec.witness)
 
     _run(crit, body)
@@ -148,7 +151,7 @@ def test_criterion_05_type_b_b1_formula():
     def body():
         for rank in (2, 3, 4):
             s = get_system(f"B{rank}")
-            got = b_matrix(s, 1, route="definition").matrix
+            got = b_matrix(s, 1).matrix
             for i in range(1, rank + 1):
                 for j in range(1, rank + 1):
                     want = (2 * j - 1) * symmetric_polys(

@@ -3,11 +3,12 @@
 import json
 
 import pytest
+from oracles import perturb_jdkx
 
-from multider import cli, golden, verify
+from multider import cli, derivations, golden, verify
 from multider.cli import main
 from multider.exactpoly import Matrix, Poly, UnsupportedDenominator, poly_from_records
-from multider.derivations import PipelineError, p_matrix
+from multider.derivations import PipelineError, clear_caches, p_matrix
 from multider.coxeter import get_system
 
 
@@ -162,6 +163,31 @@ def test_bmatrix_routes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["result"]["routes_agree"] is True
+
+
+def test_bmatrix_definition_route_fails_on_perturbed_jdkx(capsys, monkeypatch):
+    # the definition route builds P_4, whose even step checks
+    # P_4 J(D^2 x) = Gram; cold caches, so that step runs here
+    clear_caches()
+    perturb_jdkx(monkeypatch, 2)
+    code, out, err = run_cli(
+        ["bmatrix", "B2", "--k", "2", "--route", "definition"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("internal error: ") and "entry (1,1) of P_4 J(D^2 x)" in err
+
+
+def test_bmatrix_needs_no_inverse_jacobian(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("J(D^k x)^{-1} was computed")
+
+    clear_caches()
+    monkeypatch.setattr(derivations, "jdkx_inverse", broken)
+    code, out, _ = run_cli(
+        ["bmatrix", "A3", "--k", "3", "--route", "both", "--format", "json"], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["routes_agree"] is True
+    assert result["definition"] == result["closed_form"]
 
 
 def test_catalog_lines(capsys):

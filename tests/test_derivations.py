@@ -7,6 +7,7 @@ everything there was computed independently of this code path.
 from fractions import Fraction
 
 import pytest
+from oracles import b_by_definition
 
 from multider import golden
 from multider.coxeter import get_system, symmetric_polys
@@ -267,7 +268,7 @@ def test_bk_type_b_formula():
     for rank in (2, 3):
         s = get_system(f"B{rank}")
         for k in (2, 3):
-            mat = b_matrix(s, k, route="closed_form").matrix
+            mat = b_matrix(s, k).matrix
             for i in range(1, rank + 1):
                 for j in range(1, rank + 1):
                     coeff = k * (2 * i + 2 * j - 2) - 2 * i + 1
@@ -276,16 +277,15 @@ def test_bk_type_b_formula():
 
 
 def test_b_routes_agree():
-    for key in ("B2", "A3"):
+    # the closed form against the definition, which the package certifies
+    # through the product identities instead of computing it
+    for key in ("B2", "B3", "D4", "A3"):
         s = get_system(key)
-        for k in (1, 2, 3):
-            assert (b_matrix(s, k, "definition").matrix
-                    == b_matrix(s, k, "closed_form").matrix)
+        for k in (1, 2, 3, 4):
+            assert b_matrix(s, k).matrix == b_by_definition(s, k), (key, k)
 
 
 def test_b_rejects_bad_k():
     s = get_system("B2")
     with pytest.raises(ValueError):
         b_matrix(s, 0)
-    with pytest.raises(ValueError):
-        b_matrix(s, 1, route="guess")

@@ -60,7 +60,7 @@ def test_catalog_det_jf_constant_equals_full_determinant(key):
 def test_b_det_constant_equals_full_determinant(key):
     s = get_system(key)
     for k in (1, 2):
-        recs = {r.name: r for r in verify_b_properties(s, k, next_route="closed_form")}
+        recs = {r.name: r for r in verify_b_properties(s, k)}
         rec = recs[f"b({k}).det_constant"]
         det = mat_det_adj(verify.b_matrix(s, k).matrix)[0]
         assert rec.status == "pass" and rec.detail["constant"] == str(det.constant_value())
@@ -157,7 +157,7 @@ def test_doctored_invariant_with_a_singular_jacobian_is_rejected():
     s = get_system("B2")
     f1 = s.invariants[0]
     with pytest.raises(CatalogError, match="'condition': 'evaluation'"):
-        CoxeterSystem("B2", "B", 2, None, s.factors, [f1, f1 ** 2], s.exponents,
+        CoxeterSystem("B2", "B", 2, s.factors, [f1, f1 ** 2], s.exponents,
                       s.gram, s.generators)
 
 
@@ -166,7 +166,7 @@ def test_doctored_invariant_outside_the_module_is_rejected():
     # gradient is not in D(A) along the orbit of irrational mirror lines
     s = get_system("I2(5)")
     with pytest.raises(CatalogError, match="not in D"):
-        CoxeterSystem("I2(5)", "I2", 2, 5, s.factors, [s.invariants[0], x1 ** 5],
+        CoxeterSystem("I2(5)", "I2", 2, s.factors, [s.invariants[0], x1 ** 5],
                       s.exponents, s.gram, s.generators)
 
 
@@ -174,13 +174,13 @@ def test_b_det_constant_skipped_when_the_degrees_fail(monkeypatch):
     s = get_system("B2")
     real = verify.b_matrix
 
-    def doctored(system, k, route="definition"):
-        b = real(system, k, route=route)
+    def doctored(system, k):
+        b = real(system, k)
         if k != 1:
             return b
         rows = [[b.matrix[i][j] for j in range(2)] for i in range(2)]
         rows[0][0] = x1  # B^(1)_11 must vanish: its degree m_1 + m_1 - h is negative
-        return BMatrix(b.system_key, k, b.route, Matrix(rows))
+        return BMatrix(b.system_key, k, Matrix(rows))
 
     monkeypatch.setattr(verify, "b_matrix", doctored)
     recs = {r.name: r for r in verify_b_properties(s, 1)}

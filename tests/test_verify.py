@@ -1,12 +1,14 @@
 """Tests for the certification checks, including their failure paths."""
 
+import json
 from dataclasses import replace
 
 import pytest
+from oracles import perturb_jdkx
 
-from multider import derivations, verify
+from multider import cli, derivations, verify
 from multider.coxeter import get_system
-from multider.derivations import DerivationBasis, p_matrix
+from multider.derivations import DerivationBasis, clear_caches, p_matrix
 from multider.exactpoly import ArrFrac, Matrix, Poly, is_constant_multiple, mat_det_adj, rat_det
 from multider.verify import (
     run_verification,
@@ -240,7 +242,7 @@ def test_b_properties_b2():
 def test_b_properties_d4_central_block():
     s = get_system("D4")
     for k in (1, 2):
-        recs = verify_b_properties(s, k, next_route="closed_form")
+        recs = verify_b_properties(s, k)
         by_name = {r.name: r for r in recs}
         central = by_name[f"b({k}).central"]
         assert central.status == "pass"
@@ -269,22 +271,51 @@ def test_recursion_check_fails_on_perturbed_jdkx(monkeypatch):
     # negative control: a wrong J(D^2 x) must break the product identity,
     # even when P_4 is already memoised
     s = get_system("B2")
-    real = derivations.jdkx
-
-    def perturbed(system, k):
-        mat = real(system, k)
-        if k != 2:
-            return mat
-        rows = [[mat[i][j] for j in range(mat.cols)] for i in range(mat.rows)]
-        assert rows[0][0]
-        rows[0][0] = rows[0][0] * 2
-        return Matrix(rows)
-
-    monkeypatch.setattr(derivations, "jdkx", perturbed)
+    perturb_jdkx(monkeypatch, 2)
     rec = verify_recursion(s, 4)
     assert rec.status == "fail"
     assert rec.detail == {"m": 4}
     assert "entry (1,1) of P_4 J(D^2 x)" in rec.witness["reason"]
+
+
+def test_b_step_records_fail_on_perturbed_jdkx(monkeypatch):
+    # negative control: B^(2) by definition equals the closed form only if
+    # P_4 J(D^2 x) = Gram, so a wrong J(D^2 x) must fail both step records
+    # of level 1 (C(1) alone still holds, so def_eq_closed passes)
+    s = get_system("B2")
+    perturb_jdkx(monkeypatch, 2)
+    recs = {r.name: r for r in verify_b_properties(s, 1)}
+    assert recs["b(1).def_eq_closed"].status == "pass"
+    for name in ("b(1).difference", "b(1).closed_formula"):
+        assert recs[name].status == "fail", name
+        assert recs[name].detail == {"next_route": "definition"}
+        assert "entry (1,1) of P_4 J(D^2 x)" in recs[name].witness["reason"]
+
+
+def test_b_properties_need_no_inverse_jacobian(monkeypatch):
+    # B^(k) by definition is certified through P_{2k}, not computed through
+    # J(D^(k-1) x)^{-1}; cold caches, so nothing is read from an earlier build
+    def broken(*args, **kwargs):
+        raise AssertionError("J(D^k x)^{-1} was computed")
+
+    clear_caches()
+    monkeypatch.setattr(derivations, "jdkx_inverse", broken)
+    monkeypatch.setattr(verify, "jdkx_inverse", broken)
+    recs = verify_b_properties(get_system("A3"), 2)
+    assert [r.status for r in recs] == ["pass"] * len(recs)
+
+
+def test_verify_a4_m4_b_properties(capsys):
+    # B^(3) by definition took 95.5 s (shared 2-vCPU VM, Python 3.11); its
+    # certificate builds P_6 instead
+    clear_caches()
+    code = cli.main(["verify", "A4", "--m", "4", "--checks", "b-properties",
+                     "--format", "json"])
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert code == 0 and report["passed"]
+    assert {r["status"] for r in report["checks"]} == {"pass"}
+    assert [r["name"] for r in report["checks"]][-2:] == [
+        "b(2).difference", "b(2).closed_formula"]
 
 
 def test_nesting_b2_b3():
