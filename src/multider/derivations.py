@@ -3,10 +3,11 @@
 Given a catalog system with basic invariants f_1, ..., f_l (degrees
 ascending) the primitive derivation D is the derivation of the fraction
 field with D f_i = 0 for i < l and D f_l = 1.  Its coordinate vector
-(D x_1, ..., D x_l) is the bottom row of J(f)^{-1}, and iterating D on the
-coordinates produces the rational vectors D^k x whose poles lie along the
-arrangement only.  Every application of D (``apply_derivation``) is one sum
-over a common denominator, reduced once.
+(D x_1, ..., D x_l) is the bottom row of J(f)^{-1} (``jf_inverse``,
+memoised), and iterating D on the coordinates produces the rational vectors
+D^k x whose poles lie along the arrangement only.  Every application of D
+(``apply_derivation``) is one sum over a common denominator
+(``derivation_pair``), reduced once.
 
 From these the module constructs:
 
@@ -19,7 +20,9 @@ From these the module constructs:
   Each even step is certified against the paper's direct formula
   P_{2k} = Gram J(D^k x)^{-1} by the exact product P_{2k} J(D^k x) = Gram
   (``certify_direct_formula``, which compares each unreduced entry with
-  Gram times its denominator).  Odd m needs no identity of its own:
+  Gram times its denominator and records the two matrices it certified, so
+  that ``verify`` reads the record instead of recomputing the product).
+  Odd m needs no identity of its own:
   Gram J(D^k x)^{-1} J(f) = P_{2k} J(f) is the odd step itself.  Columns
   are homogeneous of degree k*h (even m) or k*h + m_j (odd m), k = m // 2.
 
@@ -46,8 +49,10 @@ deterministic, so cache hits cannot change results, only timings.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .coxeter import CoxeterSystem
 from .exactpoly import (
@@ -68,8 +73,10 @@ __all__ = [
     "DerivationBasis",
     "BMatrix",
     "jacobian",
+    "jf_inverse",
     "primitive_dx",
     "apply_derivation",
+    "derivation_pair",
     "iterate_dkx",
     "jdkx",
     "jdkx_det_constant",
@@ -93,10 +100,16 @@ _jdkx_cache: dict[tuple[str, int], Matrix] = {}
 _pm_cache: dict[tuple[str, int], "DerivationBasis"] = {}
 _b_cache: dict[tuple[str, int], "BMatrix"] = {}
 _saito_cache: dict[tuple[str, int], Certificate] = {}
+# (numerator, denominator exponents) of an unreduced fraction
+_Pair = tuple[Poly, Mapping[Poly, int]]
+_jf_inv_cache: dict[str, tuple[tuple[_Pair, ...], ...]] = {}
+# (P_{2k}, J(D^k x)) on which certify_direct_formula last succeeded, per k
+_direct_cache: dict[tuple[str, int], tuple[Matrix, Matrix]] = {}
 
 
 def clear_caches() -> None:
-    for cache in (_dx_cache, _dkx_cache, _jdkx_cache, _pm_cache, _b_cache, _saito_cache):
+    for cache in (_dx_cache, _dkx_cache, _jdkx_cache, _pm_cache, _b_cache, _saito_cache,
+                  _jf_inv_cache, _direct_cache):
         cache.clear()
 
 
@@ -115,6 +128,23 @@ def jacobian(entries) -> Matrix:
     return Matrix([[columns[j][i] for j in range(n)] for i in range(n)])
 
 
+def jf_inverse(system: CoxeterSystem) -> tuple[tuple[_Pair, ...], ...]:
+    """J(f)^{-1} = adj J(f) / (c Q) unreduced, as (numerator, denominator
+    exponents) pairs, with det J(f) = c Q certified when the catalog entry
+    was built; computed once per system.  A caller reduces only the
+    entries it reads: ``primitive_dx`` the last row.  The memo is read-only:
+    rows are tuples, and every pair holds one read-only copy of Q's
+    factor map."""
+    cached = _jf_inv_cache.get(system.key)
+    if cached is None:
+        _, adj = mat_det_adj(system.jacobian_of_invariants())
+        inv_c = 1 / system.det_jf_constant
+        den = MappingProxyType(dict(system.q_factor_map))
+        cached = tuple(tuple((p * inv_c, den) for p in adj[i]) for i in range(adj.rows))
+        _jf_inv_cache[system.key] = cached
+    return cached
+
+
 def primitive_dx(system: CoxeterSystem) -> tuple[ArrFrac, ...]:
     """Coordinates of the primitive derivation: the bottom row of J(f)^{-1}.
 
@@ -125,12 +155,7 @@ def primitive_dx(system: CoxeterSystem) -> tuple[ArrFrac, ...]:
     if cached is not None:
         return cached
     ell = system.rank
-    # det J(f) = c Q with c certified when the catalog entry was built
-    _, adj = mat_det_adj(system.jacobian_of_invariants())
-    inv_c = 1 / system.det_jf_constant
-    dx = tuple(
-        ArrFrac(adj[ell - 1][j] * inv_c, system.q_factor_map) for j in range(ell)
-    )
+    dx = tuple(ArrFrac(*pair) for pair in jf_inverse(system)[ell - 1])
     for i, f in enumerate(system.invariants):
         expect = Fraction(int(i == ell - 1))
         got = apply_derivation(f, dx)
@@ -144,12 +169,15 @@ def primitive_dx(system: CoxeterSystem) -> tuple[ArrFrac, ...]:
 
 
 def apply_derivation(p, dx) -> ArrFrac:
-    """Apply sum_j dx_j * d/dx_j to a polynomial or fraction.
+    """Apply sum_j dx_j * d/dx_j to a polynomial or fraction: the sum of
+    ``derivation_pair``, reduced once."""
+    return ArrFrac(*derivation_pair(p, dx))
 
-    The terms dx_j * (d p / d x_j) stay unreduced (the quotient-rule
-    derivative times dx_j) and are summed over their common denominator,
-    so the result is reduced once.
-    """
+
+def derivation_pair(p, dx) -> tuple[Poly, dict[Poly, int]]:
+    """sum_j dx_j * d p / d x_j unreduced, as (numerator, denominator
+    exponents): the terms dx_j times the quotient-rule derivative, summed
+    over their common denominator."""
     if not isinstance(p, ArrFrac):
         p = ArrFrac.from_poly(p)
     pairs = [
@@ -157,7 +185,7 @@ def apply_derivation(p, dx) -> ArrFrac:
         for coeff, (num, den) in zip(dx, p.gradient_pairs())
         if coeff and num
     ]
-    return ArrFrac(*sum_pairs(p.nvars, pairs))
+    return sum_pairs(p.nvars, pairs)
 
 
 def iterate_dkx(system: CoxeterSystem, k: int) -> tuple[ArrFrac, ...]:
@@ -249,9 +277,9 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
         mat = system.gram_matrix()
     else:
         mat = p_matrix(system, m - 1).matrix @ step_matrix(system, m)
-        if m % 2 == 0:
-            certify_direct_formula(system, k, mat)
     degrees = _validate_columns(system, m, mat)
+    if m and m % 2 == 0:
+        certify_direct_formula(system, k, mat)
     basis = DerivationBasis(system.key, m, k, mat, degrees)
     _pm_cache[(system.key, m)] = basis
     return basis
@@ -299,27 +327,33 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> Non
     (J(D^k x) is invertible), without inverting J(D^k x).
 
     Each entry of the product is an unreduced sum N / d over its common
-    denominator d, and N / d = Gram_ij exactly when N = Gram_ij * d, so no
-    entry is reduced unless it differs.  Raises PipelineError naming the
-    first entry of the product that differs.
+    denominator d (``Matrix.product_pairs``), and N / d = Gram_ij exactly
+    when N = Gram_ij * d, so no entry is reduced unless it differs.  Raises
+    PipelineError naming the first entry of the product that differs.
+
+    The pair (P_{2k}, J(D^k x)) of a success is recorded, and a call on the
+    same two objects returns at once; the identity is recomputed whenever
+    the memoised J(D^k x) or the given P_{2k} is another object.
     """
     jd = jdkx(system, k)
-    ell = system.rank
+    recorded = _direct_cache.get((system.key, k))
+    if recorded is not None and recorded[0] is p_even and recorded[1] is jd:
+        return
+    # the entries of a column mostly share their denominator, so Gram_ij is
+    # put over it from one expansion per distinct denominator
     expanded: dict[frozenset, Poly] = {}
-    for i in range(ell):
-        for j in range(ell):
-            pairs = [(p_even[i][r] * jd[r][j].num, jd[r][j].den)
-                     for r in range(ell) if p_even[i][r] and jd[r][j]]
-            num, den = sum_pairs(ell, pairs)
+    for i, row in enumerate(p_even.product_pairs(jd)):
+        for j, (num, den) in enumerate(row):
             key = frozenset(den.items())
             d = expanded.get(key)
             if d is None:
-                d = expanded[key] = expand_factor_powers(ell, den)
+                d = expanded[key] = expand_factor_powers(system.rank, den)
             if num != d * system.gram[i][j]:
                 raise PipelineError(
                     f"{system.key}: entry ({i + 1},{j + 1}) of P_{2 * k} J(D^{k} x) "
                     f"is {ArrFrac(num, den)}, expected {system.gram[i][j]}"
                 )
+    _direct_cache[(system.key, k)] = (p_even, jd)
 
 
 def jdkx_inverse(system: CoxeterSystem, k: int) -> Matrix:

@@ -35,8 +35,10 @@ Representations:
   one sum of unreduced products over their common denominator and
   reduces it once; the reduced form is canonical, so this equals reducing
   term by term.  The unreduced pieces of such sums (``product_pair``,
-  ``ArrFrac.gradient_pairs``, ``sum_pairs``) serve other fused sums too, such
-  as a derivation applied to a fraction.  No certificate takes the determinant of a large
+  ``ArrFrac.gradient_pairs``, ``sum_pairs``, ``Matrix.product_pairs``) serve
+  other fused sums too, such as a derivation applied to a fraction, and
+  ``pairs_equal`` compares two unreduced fractions without reducing
+  either.  No certificate takes the determinant of a large
   polynomial matrix: ``saito`` evaluates it at one point instead.
 
 Exact division runs a division plan, built once per divisor and kept in a
@@ -69,6 +71,7 @@ __all__ = [
     "expand_factor_powers",
     "product_pair",
     "sum_pairs",
+    "pairs_equal",
     "mat_det_adj",
     "poly_to_records",
     "poly_from_records",
@@ -856,9 +859,46 @@ def sum_pairs(
                 den[f] = e
     total = Poly.zero(nvars)
     for num, d in pairs:
-        lift = {f: e - d.get(f, 0) for f, e in den.items() if e > d.get(f, 0)}
-        total = total + (num * expand_factor_powers(nvars, lift) if lift else num)
+        total = total + _lift(num, d, den)
     return total, den
+
+
+# a numerator with more terms than this is lifted one factor power at a time
+_LONG_NUMERATOR = 128
+
+
+def _lift(num: Poly, d: Mapping[Poly, int], den: Mapping[Poly, int]) -> Poly:
+    """The numerator of num / prod f^d over the larger denominator den.
+
+    A short numerator is multiplied by the expanded surplus
+    prod f^(den_f - d_f) in one product.  A long one is multiplied by one
+    factor power at a time: it then merges terms at every step, where one
+    product with the many terms of the expanded surplus would not.
+    """
+    surplus = {f: e - d.get(f, 0) for f, e in den.items() if e > d.get(f, 0)}
+    if not surplus:
+        return num
+    if len(num) <= _LONG_NUMERATOR:
+        return num * expand_factor_powers(num.nvars, surplus)
+    for f, e in surplus.items():
+        num = num * _factor_power(f, e)
+    return num
+
+
+def pairs_equal(a: tuple[Poly, Mapping[Poly, int]], b: tuple[Poly, Mapping[Poly, int]]) -> bool:
+    """Whether the fractions a = (num, den) and b are equal, compared
+    unreduced: N_a / d_a = N_b / d_b exactly when the numerators agree over
+    the per-factor maximum of d_a and d_b.  Neither side is reduced."""
+    (num_a, den_a), (num_b, den_b) = a, b
+    if not num_a or not num_b:
+        return not num_a and not num_b
+    if den_a == den_b:
+        return num_a == num_b
+    den = dict(den_a)
+    for f, e in den_b.items():
+        if den.get(f, 0) < e:
+            den[f] = e
+    return _lift(num_a, den_a, den) == _lift(num_b, den_b, den)
 
 
 # ---------------------------------------------------------------------------
@@ -1148,24 +1188,12 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Matrix product.  Over fractions each entry is one sum of the
-        unreduced products over their common denominator, reduced once."""
+        unreduced products over their common denominator (``product_pairs``),
+        reduced once."""
+        if self.has_frac() or other.has_frac():
+            return Matrix([[ArrFrac(*pair) for pair in row] for row in self.product_pairs(other)])
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch")
-        if self.has_frac() or other.has_frac():
-            a, b = self.to_frac()._e, other.to_frac()._e
-            nvars = a[0][0].nvars
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    pairs = [
-                        product_pair(a[i][k], b[k][j].num, b[k][j].den)
-                        for k in range(self.cols)
-                        if a[i][k] and b[k][j]
-                    ]
-                    row.append(ArrFrac(*sum_pairs(nvars, pairs)))
-                out.append(row)
-            return Matrix(out)
         out = []
         for i in range(self.rows):
             row = []
@@ -1177,6 +1205,26 @@ class Matrix:
                 row.append(acc)
             out.append(row)
         return Matrix(out)
+
+    def product_pairs(self, other: "Matrix") -> list[list[tuple[Poly, dict[Poly, int]]]]:
+        """The entries of self @ other over fractions, unreduced: each is
+        the sum of its products over their common denominator, as
+        (numerator, denominator exponents)."""
+        if self.cols != other.rows:
+            raise ValueError("matrix shape mismatch")
+        a, b = self.to_frac()._e, other.to_frac()._e
+        nvars = a[0][0].nvars
+        return [
+            [
+                sum_pairs(nvars, [
+                    product_pair(a[i][k], b[k][j].num, b[k][j].den)
+                    for k in range(self.cols)
+                    if a[i][k] and b[k][j]
+                ])
+                for j in range(other.cols)
+            ]
+            for i in range(self.rows)
+        ]
 
     def __mul__(self, other):
         if isinstance(other, Matrix):

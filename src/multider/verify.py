@@ -10,6 +10,15 @@ No check takes the determinant of a polynomial matrix of the pipeline:
 the determinant claims are certified by Saito's criterion (``saito``),
 the inclusion by one exact product.
 
+Identities over fractions (``jdg``, ``equivariance``) are compared
+unreduced: the last product or derivative of each side is a grid of
+(numerator, denominator exponents) pairs, and two entries are equal
+exactly when their numerators agree over the per-factor maximum of the
+two denominators (``exactpoly.pairs_equal``).  Only the first differing
+entry is reduced, on both sides, to print its witness.  Intermediate
+products (J(g)^{-1} D[J(g)], J(g)^{-1} J(Dg), J(g)^{-1} J(f)) are kept
+reduced, since their reduced forms are smaller operands.
+
 The checks, by name as used in reports and on the command line:
 
 * ziegler       det P_m is a nonzero constant multiple of Q^m, by Saito's
@@ -41,15 +50,18 @@ The checks, by name as used in reports and on the command line:
                 constant determinant (one evaluation: with the degree table
                 det B^(k) is homogeneous of degree 2|A| - l h = 0); by
                 definition, B^(k) and B^(k+1) equal their closed forms and
-                B^(k+1) - B^(k) = B^(1) + B^(1)^T, certified by recomputing
-                P_{2j} J(D^j x) = Gram on the memoised P_{2j}, j = k-1..k+1
-                (the proof is in ``derivations.b_matrix``).
+                B^(k+1) - B^(k) = B^(1) + B^(1)^T, certified by the
+                products P_{2j} J(D^j x) = Gram, j = k-1..k+1 (the proof is
+                in ``derivations.b_matrix``), read from the record of the
+                certificate that built the memoised P_{2j} and run again
+                only when P_{2j} or J(D^j x) is not the certified object.
 * equivariance  g[J(D^k x)] = rho^-1 J(D^k x) rho, g[J(f)] = rho^-1 J(f),
                 and g[P_m] = rho^T P_m for odd m, for every stored
                 generator.
 * recursion     the inductive P_m matches the direct formula: the exact
                 product P_{2k} J(D^k x) = Gram, k = m // 2 (odd m follows,
-                since P_{2k+1} = P_{2k} J(f) is the direct formula too).
+                since P_{2k+1} = P_{2k} J(f) is the direct formula too),
+                recorded like the b-properties identities.
 * nesting       the columns of P_m have polynomial coordinates in the
                 columns of P_{m-1}: the exact product P_{m-1} C_m = P_m
                 with the polynomial matrix C_m = J(f) (m odd) or
@@ -69,16 +81,27 @@ from .derivations import (
     apply_derivation,
     b_matrix,
     certify_direct_formula,
+    derivation_pair,
     jacobian,
     jdkx,
     jdkx_det_constant,
     jdkx_inverse,
+    jf_inverse,
     p_matrix,
     primitive_dx,
     saito_certificate,
     step_matrix,
 )
-from .exactpoly import ArrFrac, Matrix, det_at, expand_factor_powers, mat_det_adj, rat_mat_inv
+from .exactpoly import (
+    ArrFrac,
+    Matrix,
+    det_at,
+    expand_factor_powers,
+    mat_det_adj,
+    pairs_equal,
+    rat_mat_inv,
+    sum_pairs,
+)
 from .saito import evaluation_point, membership_witness
 
 __all__ = [
@@ -219,8 +242,17 @@ def verify_det_jdkx(system: CoxeterSystem, k: int) -> CheckRecord:
     return _finish(CheckRecord("det-jdkx", "pass", {"k": k, "constant": str(c)}), t0)
 
 
-def _matrix_apply_d(mat: Matrix, dx) -> Matrix:
-    return mat.map(lambda e: apply_derivation(e, dx))
+def _pairs(mat: Matrix) -> list[list[tuple]]:
+    return [[(e.num, e.den) if isinstance(e, ArrFrac) else (e, {}) for e in mat[i]]
+            for i in range(mat.rows)]
+
+
+def _d_pairs(mat: Matrix, dx) -> list[list[tuple]]:
+    return [[derivation_pair(e, dx) for e in mat[i]] for i in range(mat.rows)]
+
+
+def _negated(grid: list[list[tuple]]) -> list[list[tuple]]:
+    return [[(-num, den) for num, den in row] for row in grid]
 
 
 def _jacobians(system: CoxeterSystem, g_key, dx):
@@ -244,11 +276,14 @@ def _jacobians(system: CoxeterSystem, g_key, dx):
     return jdkx(system, k), jdkx(system, k + 1), k
 
 
-def _jacobian_inverse(system: CoxeterSystem, jg: Matrix, k: int | None):
+def _jacobian_inverse(system: CoxeterSystem, g_key, jg: Matrix, k: int | None):
     """J(g)^{-1}, or None when J(g) is singular.  For g = D^k x it is
-    Gram^{-1} P_{2k}, which the product identity certifies."""
+    Gram^{-1} P_{2k}, which the product identity certifies; for g = f the
+    memoised ``jf_inverse``, reduced."""
     if k is not None:
         return jdkx_inverse(system, k)
+    if g_key == "f":
+        return Matrix([[ArrFrac(*pair) for pair in row] for row in jf_inverse(system)])
     # J(g) = N / d over the common denominator d, so J(g)^{-1} = d adj N / det N
     den: dict = {}
     for i in range(jg.rows):
@@ -279,43 +314,44 @@ def verify_jdg_identities(system: CoxeterSystem, g_key: str = "x",
     tag = f"jdg({g_key})" if isinstance(g_key, str) else "jdg(custom)"
 
     t0 = time.perf_counter()
-    d_jg = _matrix_apply_d(jg, dx)
-    records.append(_finish(_eq_record(f"{tag}.i", jdg, (jdx @ jg) + d_jg), t0))
+    d_jg = jg.map(lambda e: apply_derivation(e, dx))
+    rhs = [[sum_pairs(system.rank, [pair, d]) for pair, d in zip(row, d_row)]
+           for row, d_row in zip(jdx.product_pairs(jg), _pairs(d_jg))]
+    records.append(_finish(_eq_record(f"{tag}.i", _pairs(jdg), rhs), t0))
 
     t0 = time.perf_counter()
-    inv = _jacobian_inverse(system, jg, level)
+    inv = _jacobian_inverse(system, g_key, jg, level)
     if inv is None:
         records.append(_finish(CheckRecord(f"{tag}.ii", "skipped", {"reason": "J(g) singular"}), t0))
         records.append(CheckRecord(f"{tag}.iv", "skipped", {"reason": "J(g) singular"}))
     else:
-        lhs = _matrix_apply_d(inv, dx)
-        rhs = -(inv @ d_jg @ inv)
-        records.append(_finish(_eq_record(f"{tag}.ii", lhs, rhs), t0))
+        rhs = _negated((inv @ d_jg).product_pairs(inv))
+        records.append(_finish(_eq_record(f"{tag}.ii", _d_pairs(inv, dx), rhs), t0))
 
         t0 = time.perf_counter()
         inv_jf = inv @ system.jacobian_of_invariants()
-        lhs = _matrix_apply_d(inv_jf, dx)
-        rhs = -(inv @ jdg @ inv_jf)
-        records.append(_finish(_eq_record(f"{tag}.iv", lhs, rhs), t0))
+        rhs = _negated((inv @ jdg).product_pairs(inv_jf))
+        records.append(_finish(_eq_record(f"{tag}.iv", _d_pairs(inv_jf, dx), rhs), t0))
 
     if include_f_identity:
         t0 = time.perf_counter()
         jf = system.jacobian_of_invariants()
-        lhs = _matrix_apply_d(jf, dx)
-        rhs = -(jdx @ jf)
-        records.append(_finish(_eq_record("jdg.iii", lhs, rhs), t0))
+        rhs = _negated(jdx.product_pairs(jf))
+        records.append(_finish(_eq_record("jdg.iii", _d_pairs(jf, dx), rhs), t0))
     return records
 
 
-def _eq_record(name: str, lhs: Matrix, rhs: Matrix) -> CheckRecord:
-    for i in range(lhs.rows):
-        for j in range(lhs.cols):
-            if lhs[i][j] != rhs[i][j]:
+def _eq_record(name: str, lhs: list[list[tuple]], rhs: list[list[tuple]]) -> CheckRecord:
+    """Entrywise equality of two grids of pairs (``pairs_equal``); the
+    first differing entry is reduced on both sides for the witness."""
+    for i, (lhs_row, rhs_row) in enumerate(zip(lhs, rhs)):
+        for j, (a, b) in enumerate(zip(lhs_row, rhs_row)):
+            if not pairs_equal(a, b):
                 return CheckRecord(
                     name,
                     "fail",
                     {},
-                    {"entry": [i + 1, j + 1], "lhs": str(lhs[i][j]), "rhs": str(rhs[i][j])},
+                    {"entry": [i + 1, j + 1], "lhs": str(ArrFrac(*a)), "rhs": str(ArrFrac(*b))},
                 )
     return CheckRecord(name, "pass")
 
@@ -328,19 +364,16 @@ def _central_block(system: CoxeterSystem) -> set[tuple[int, int]]:
     return set()
 
 
-def _direct_formula_witness(system: CoxeterSystem, levels, outcomes: dict) -> dict | None:
+def _direct_formula_witness(system: CoxeterSystem, levels) -> dict | None:
     """None when P_{2j} J(D^j x) = Gram holds for every j in levels, else
-    the failure of the first j that breaks it.  Each identity is recomputed
-    on the memoised P_{2j}, once per j: outcomes keeps them per caller."""
+    the failure of the first j that breaks it.  ``certify_direct_formula``
+    recomputes an identity only when the memoised P_{2j} or J(D^j x) is not
+    the object it last certified."""
     for j in levels:
-        if j not in outcomes:
-            try:
-                certify_direct_formula(system, j, p_matrix(system, 2 * j).matrix)
-                outcomes[j] = None
-            except PipelineError as err:
-                outcomes[j] = {"reason": str(err)}
-        if outcomes[j] is not None:
-            return outcomes[j]
+        try:
+            certify_direct_formula(system, j, p_matrix(system, 2 * j).matrix)
+        except PipelineError as err:
+            return {"reason": str(err)}
     return None
 
 
@@ -361,12 +394,11 @@ def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
     exps = system.exponents
     h = system.h
     central = _central_block(system)
-    outcomes: dict[int, dict | None] = {}
 
     t0 = time.perf_counter()
     bk = b_matrix(system, k).matrix
     b1 = b_matrix(system, 1).matrix
-    witness = _direct_formula_witness(system, range(max(1, k - 1), k + 1), outcomes)
+    witness = _direct_formula_witness(system, range(max(1, k - 1), k + 1))
     records.append(_finish(_certified_record(f"b({k}).def_eq_closed", witness, {}), t0))
 
     t0 = time.perf_counter()
@@ -473,12 +505,12 @@ def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
     # B^(k+1) - B^(k) and the closed form of B^(k+1), both by definition;
     # the detail key names the route these records have always checked
     t0 = time.perf_counter()
-    witness = _direct_formula_witness(system, range(max(1, k - 1), k + 2), outcomes)
+    witness = _direct_formula_witness(system, range(max(1, k - 1), k + 2))
     records.append(_finish(_certified_record(
         f"b({k}).difference", witness, {"next_route": "definition"}), t0))
 
     t0 = time.perf_counter()
-    witness = _direct_formula_witness(system, (k, k + 1), outcomes)
+    witness = _direct_formula_witness(system, (k, k + 1))
     records.append(_finish(_certified_record(
         f"b({k}).closed_formula", witness, {"next_route": "definition"}), t0))
     return records
@@ -497,14 +529,14 @@ def verify_equivariance(system: CoxeterSystem, k: int, m: int) -> list[CheckReco
 
         t0 = time.perf_counter()
         lhs = jk.map(lambda e: e.substitute_linear(g))
-        rhs = rho_inv @ jk @ rho
-        records.append(_finish(_eq_record(f"equivariance.g{gi + 1}.jdkx", lhs, rhs), t0))
+        rhs = (rho_inv @ jk).product_pairs(rho)
+        records.append(_finish(_eq_record(f"equivariance.g{gi + 1}.jdkx", _pairs(lhs), rhs), t0))
         records[-1].detail["k"] = k
 
         t0 = time.perf_counter()
         lhs = jf.map(lambda e: e.substitute_linear(g))
         rhs = rho_inv @ jf
-        records.append(_finish(_eq_record(f"equivariance.g{gi + 1}.jf", lhs, rhs), t0))
+        records.append(_finish(_eq_record(f"equivariance.g{gi + 1}.jf", _pairs(lhs), _pairs(rhs)), t0))
 
         if basis is not None:
             t0 = time.perf_counter()
@@ -514,17 +546,18 @@ def verify_equivariance(system: CoxeterSystem, k: int, m: int) -> list[CheckReco
             lhs = basis.matrix.map(lambda e: e.substitute_linear(g))
             rhs = rho_t @ basis.matrix
             records.append(
-                _finish(_eq_record(f"equivariance.g{gi + 1}.p_odd", lhs, rhs), t0)
+                _finish(_eq_record(f"equivariance.g{gi + 1}.p_odd", _pairs(lhs), _pairs(rhs)), t0)
             )
             records[-1].detail["m"] = m
     return records
 
 
 def verify_recursion(system: CoxeterSystem, m: int) -> CheckRecord:
-    """The product identity P_{2k} J(D^k x) = Gram, recomputed even when
-    P_{2k} comes from the memo."""
+    """The product identity P_{2k} J(D^k x) = Gram on the memoised P_{2k}:
+    the record of the certificate that built it, unless P_{2k} or
+    J(D^k x) is not the object certified, which is then certified anew."""
     t0 = time.perf_counter()
-    witness = _direct_formula_witness(system, (m // 2,), {})
+    witness = _direct_formula_witness(system, (m // 2,))
     return _finish(_certified_record("recursion", witness, {"m": m}), t0)
 
 
@@ -538,7 +571,7 @@ def verify_nesting(system: CoxeterSystem, m: int) -> CheckRecord:
             CheckRecord("nesting", "skipped", {"reason": "m = 0 has no predecessor"}), t0
         )
     product = p_matrix(system, m - 1).matrix @ step_matrix(system, m)
-    rec = _eq_record("nesting", product, p_matrix(system, m).matrix)
+    rec = _eq_record("nesting", _pairs(product), _pairs(p_matrix(system, m).matrix))
     rec.detail = {"m": m}
     return _finish(rec, t0)
 

@@ -13,7 +13,10 @@ from multider.exactpoly import (
     divide_exact,
     expand_factor_powers,
     mat_det_adj,
+    pairs_equal,
+    sum_pairs,
 )
+from multider import exactpoly
 
 x1 = Poly.variable(2, 0)
 x2 = Poly.variable(2, 1)
@@ -200,3 +203,87 @@ def test_fused_product_dispatches_on_any_fraction_entry():
     assert got == _termwise(a, b)
     assert all(isinstance(v, ArrFrac) for _, _, v in got.entries())
     assert got[0][1] == x1 * x2 + x1
+
+
+# pairs_equal compares unreduced (numerator, denominator exponents) pairs;
+# every case below holds its unequal operands next to an equal twin whose
+# denominator differs, so a helper that compared the numerators without
+# lifting them to a common denominator fails each test.
+
+
+def test_pairs_equal_across_a_common_factor():
+    plus, minus = x1 + x2, x1 - x2
+    p = x1**2 - 3 * x2
+    # p (x1+x2) / ((x1+x2)^2 (x1-x2)) = p / ((x1+x2) (x1-x2))
+    a = (p * plus, {plus: 2, minus: 1})
+    b = (p, {plus: 1, minus: 1})
+    assert pairs_equal(a, b) and pairs_equal(b, a)
+    # each side carries a surplus factor of its own: p x1 / (x1 (x1+x2)) and
+    # p (x1+x2) / (x1+x2)^2 are both p / (x1+x2)
+    assert pairs_equal((p * x1, {x1: 1, plus: 1}), (p * plus, {plus: 2}))
+    assert ArrFrac(*a) == ArrFrac(*b)
+
+
+def test_pairs_equal_across_a_dihedral_orbit_factor():
+    q = next(f for f in get_system("I2(5)").factors if f.degree() > 1)
+    p = 2 * x1**3 - x2
+    assert pairs_equal((p * q**2, {q: 3, x2: 1}), (p, {q: 1, x2: 1}))
+    assert not pairs_equal((p * q**2, {q: 3, x2: 1}), (p, {q: 2, x2: 1}))
+
+
+def test_pairs_equal_detects_one_coefficient():
+    plus = x1 + x2
+    p = 3 * x1**2 + x1 * x2 - x2**2
+    changed = 3 * x1**2 + 2 * x1 * x2 - x2**2
+    assert pairs_equal((p * plus, {plus: 2}), (p, {plus: 1}))
+    assert not pairs_equal((p * plus, {plus: 2}), (changed, {plus: 1}))
+    assert not pairs_equal((changed, {plus: 1}), (p * plus, {plus: 2}))
+
+
+def test_pairs_equal_zero_against_nonzero():
+    plus = x1 + x2
+    zero = Poly.zero(2)
+    assert pairs_equal((zero, {plus: 2}), (zero, {}))
+    assert not pairs_equal((zero, {plus: 2}), (x2 * plus, {plus: 2}))
+    assert not pairs_equal((x2, {}), (zero, {plus: 1}))
+    assert pairs_equal((x2, {}), (x2 * plus, {plus: 1}))
+
+
+def test_product_pairs_equal_the_reduced_product():
+    plus, minus = x1 + x2, x1 - x2
+    a = Matrix([[ArrFrac(x2, {x1: 1, plus: 1}), ArrFrac(Poly.const(2, 1), {plus: 1})],
+                [ArrFrac(x1, {minus: 1}), ArrFrac(-x2, {minus: 1})]])
+    b = Matrix([[Poly.const(2, 1), ArrFrac(x1 - 2 * x2, {x2: 1})], [x1, x2]])
+    reduced = a @ b
+    pairs = a.product_pairs(b)
+    for i in range(2):
+        for j in range(2):
+            assert ArrFrac(*pairs[i][j]) == reduced[i][j]
+            assert pairs_equal(pairs[i][j], (reduced[i][j].num, reduced[i][j].den))
+    # x2/(x1 (x1+x2)) + x1/(x1+x2) stays over the common denominator
+    assert pairs[0][0] == (x2 + x1**2, {x1: 1, plus: 1})
+
+
+def test_short_and_long_numerators_lift_alike(monkeypatch):
+    # a short numerator is multiplied once by the expanded surplus, a long
+    # one by one factor power at a time; both give the numerator over the
+    # common denominator
+    expansions = []
+
+    def counted(nvars, powers):
+        expansions.append(dict(powers))
+        return expand_factor_powers(nvars, powers)
+
+    monkeypatch.setattr(exactpoly, "expand_factor_powers", counted)
+    plus, minus = x1 + x2, x1 - x2
+    den = {plus: 1, minus: 1, x1 + 2 * x2: 1, x1 + 3 * x2: 1}
+    surplus = plus * minus * (x1 + 2 * x2) * (x1 + 3 * x2)
+    short, long = x1**3 - x2**3 + x1 * x2**2, (x1 + x2 + 1) ** 16
+    assert len(short) <= exactpoly._LONG_NUMERATOR < len(long)
+    for num in (short, long):
+        expansions.clear()
+        lifted = num * surplus
+        assert sum_pairs(2, [(num, {}), (x2, den)]) == (lifted + x2, den)
+        assert pairs_equal((num, {}), (lifted, den))
+        assert not pairs_equal((num, {}), (lifted + x2**4, den))
+        assert bool(expansions) == (num is short)

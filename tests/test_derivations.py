@@ -11,19 +11,22 @@ from oracles import b_by_definition
 
 from multider import golden
 from multider.coxeter import get_system, symmetric_polys
+from multider import derivations, verify
 from multider.derivations import (
     apply_derivation,
     b_matrix,
+    certify_direct_formula,
     clear_caches,
     iterate_dkx,
     jacobian,
     jdkx,
     jdkx_det_constant,
+    jf_inverse,
     p_matrix,
     primitive_dx,
 )
 from multider.exactpoly import ArrFrac, Matrix, Poly, is_constant_multiple
-from multider.verify import verify_recursion
+from multider.verify import verify_b_properties, verify_jdg_identities, verify_recursion
 
 x1 = Poly.variable(2, 0)
 x2 = Poly.variable(2, 1)
@@ -40,6 +43,37 @@ def test_primitive_dx_b2():
     inv_c = 1 / s.det_jf_constant
     assert dx[0] == frac(-x2 * inv_c, s)
     assert dx[1] == frac(x1 * inv_c, s)
+
+
+def test_jf_inverse_is_memoised_and_holds_the_primitive_derivation():
+    for key in ("B2", "A3", "I2(5)"):
+        s = get_system(key)
+        pairs = jf_inverse(s)
+        assert pairs is jf_inverse(s)
+        # read-only: a caller cannot corrupt the memo or Q's factor map
+        assert isinstance(pairs, tuple) and all(isinstance(row, tuple) for row in pairs)
+        with pytest.raises(TypeError):
+            pairs[0][0][1][next(iter(s.q_factor_map))] = 9
+        assert pairs[0][0][1] is not s.q_factor_map
+        ell = s.rank
+        inv = Matrix([[ArrFrac(*pair) for pair in row] for row in pairs])
+        one = Matrix.identity(ell, ell, frac=True)
+        assert s.jacobian_of_invariants() @ inv == one
+        assert inv @ s.jacobian_of_invariants() == one
+        assert primitive_dx(s) == tuple(inv[ell - 1])
+
+
+def test_jdg_f_reads_the_memoised_inverse(monkeypatch):
+    s = get_system("B3")
+    jf_inverse(s)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("J(f) was inverted again")
+
+    monkeypatch.setattr(derivations, "mat_det_adj", broken)
+    monkeypatch.setattr(verify, "mat_det_adj", broken)
+    recs = verify_jdg_identities(s, "f", include_f_identity=False)
+    assert [r.status for r in recs] == ["pass"] * 3
 
 
 def test_primitive_dx_kills_lower_invariants():
@@ -245,6 +279,26 @@ def test_recursive_equals_direct(key):
     for m in range(6):
         assert verify_recursion(s, m).status == "pass", m
         assert direct_formula_holds(s, m), m
+
+
+def test_direct_formula_is_recorded_with_its_objects(monkeypatch):
+    # C(j): P_{2j} J(D^j x) = Gram.  A memoised P_{2j} was certified with the
+    # memoised J(D^j x) when it was built, so verify reads that record and
+    # recomputes nothing; another object for either matrix is certified anew.
+    s = get_system("B2")
+    p4 = p_matrix(s, 4).matrix
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the direct formula was recomputed")
+
+    monkeypatch.setattr(derivations, "expand_factor_powers", broken)
+    assert verify_recursion(s, 4).status == "pass"
+    certified = {"b(1).def_eq_closed", "b(1).difference", "b(1).closed_formula"}
+    recs = [r for r in verify_b_properties(s, 1) if r.name in certified]
+    assert [r.status for r in recs] == ["pass"] * 3
+    copy = Matrix([[p4[i][j] for j in range(2)] for i in range(2)])
+    with pytest.raises(AssertionError, match="recomputed"):
+        certify_direct_formula(s, 2, copy)
 
 
 def test_recursive_odd_rule():

@@ -229,6 +229,76 @@ def test_jdg_checks_the_memoised_jacobians(monkeypatch, g, k):
     assert recs[f"jdg({g}).i"].witness["entry"] == [1, 1]
 
 
+def test_jdg_witnesses_are_the_reduced_entries(monkeypatch):
+    # both sides are compared unreduced; a failing entry is reduced on each
+    # side only for its witness, which keeps these bytes
+    s = get_system("B2")
+    _perturb_memoised_jdkx(monkeypatch, s, 2)
+    recs = {r.name: r.to_dict() for r in verify_jdg_identities(s, "dx", include_f_identity=False)}
+    assert recs["jdg(dx).i"] == {
+        "name": "jdg(dx).i", "status": "fail", "detail": {},
+        "witness": {
+            "entry": [1, 1],
+            "lhs": "(70*x1^4 - 28*x1^2*x2^2 + 6*x2^4) / [(x1 + x2)^4 * (x1 - x2)^4 * (x1)^4]",
+            "rhs": "(35*x1^4 - 14*x1^2*x2^2 + 3*x2^4) / [(x1 + x2)^4 * (x1 - x2)^4 * (x1)^4]",
+        },
+    }
+    assert recs["jdg(dx).ii"]["status"] == "pass"  # J(D^2 x) is not in identity ii
+    assert recs["jdg(dx).iv"] == {
+        "name": "jdg(dx).iv", "status": "fail", "detail": {},
+        "witness": {
+            "entry": [1, 1],
+            "lhs": "-5*x1",
+            "rhs": "(-80/9*x1^9 + 158/3*x1^7*x2^2 - 910/9*x1^5*x2^4 + 46*x1^3*x2^6 "
+                   "- 10*x1*x2^8) / [(x1 + x2)^4 * (x1 - x2)^4]",
+        },
+    }
+
+
+def test_jdg_ii_fails_on_a_perturbed_jacobian(monkeypatch):
+    # negative control: for g = D x, identity ii reads D[J(g)] from the
+    # memoised J(D x), and J(g)^{-1} from P_2
+    s = get_system("B2")
+    _perturb_memoised_jdkx(monkeypatch, s, 1)
+    recs = {r.name: r for r in verify_jdg_identities(s, "dx", include_f_identity=False)}
+    assert recs["jdg(dx).ii"].status == "fail"
+    assert recs["jdg(dx).ii"].witness["entry"] == [1, 1]
+    assert recs["jdg(dx).ii"].witness["lhs"] == "(-10/3*x1^2 + 2*x2^2) / [(x1 + x2) * (x1 - x2)]"
+
+
+def test_jdg_iii_fails_on_a_perturbed_primitive_derivation(monkeypatch):
+    # negative control: D[J(f)] = -J(D x) J(f) holds only because D f is
+    # constant; doubling D x_1 breaks it.  J(D x) is memoised first, so no
+    # cache is built from the perturbed D.
+    s = get_system("B2")
+    derivations.jdkx(s, 1)
+    dx = derivations.primitive_dx(s)
+    monkeypatch.setitem(derivations._dx_cache, s.key, (dx[0] * 2,) + dx[1:])
+    recs = {r.name: r for r in verify_jdg_identities(s, "x")}
+    assert recs["jdg.iii"].status == "fail"
+    assert recs["jdg.iii"].witness == {
+        "entry": [1, 1],
+        "lhs": "(2) / [(x1 + x2) * (x1 - x2) * (x1)]",
+        "rhs": "(4*x1^2 - 2*x2^2) / [(x1 + x2)^2 * (x1 - x2)^2 * (x1)]",
+    }
+
+
+def test_equivariance_jdkx_fails_on_a_perturbed_jacobian(monkeypatch):
+    # negative control: doubling entry (1,1) of J(D x) survives the sign
+    # change g1 of B2 but not the generator g2 that mixes the coordinates
+    s = get_system("B2")
+    _perturb_memoised_jdkx(monkeypatch, s, 1)
+    recs = {r.name: r for r in verify_equivariance(s, 1, 2)}
+    assert recs["equivariance.g1.jdkx"].status == "pass"
+    assert recs["equivariance.g2.jdkx"].status == "fail"
+    assert recs["equivariance.g2.jdkx"].detail == {"k": 1}
+    assert recs["equivariance.g2.jdkx"].witness == {
+        "entry": [1, 1],
+        "lhs": "(2*x1^2 - 6*x2^2) / [(x1 + x2)^2 * (x1 - x2)^2 * (x2)^2]",
+        "rhs": "(x1^2 - 3*x2^2) / [(x1 + x2)^2 * (x1 - x2)^2 * (x2)^2]",
+    }
+
+
 def test_b_properties_b2():
     s = get_system("B2")
     recs = verify_b_properties(s, 1)
