@@ -13,31 +13,25 @@ From these the module constructs:
 
 * ``p_matrix``: the l x l polynomial matrix whose columns are the
   coefficient vectors of a free basis of the module D^(m) of derivations
-  theta with theta(alpha_H) divisible by alpha_H^m for every hyperplane.
-  It is built by induction: P_0 = Gram, P_m = P_{m-1} J(f) for odd m, and
-  P_m = -P_{m-1} (B^(m/2))^{-1} P_1^T for positive even m, with B^(m/2) in
-  closed form, so only constant-determinant matrices are ever inverted.
-  Each even step is certified against the paper's direct formula
-  P_{2k} = Gram J(D^k x)^{-1} by the exact product P_{2k} J(D^k x) = Gram
-  (``certify_direct_formula``, which compares each unreduced entry with
-  Gram times its denominator and records the two matrices it certified, so
-  that ``verify`` reads the record instead of recomputing the product).
-  Odd m needs no identity of its own:
-  Gram J(D^k x)^{-1} J(f) = P_{2k} J(f) is the odd step itself.  Columns
-  are homogeneous of degree k*h (even m) or k*h + m_j (odd m), k = m // 2.
+  theta with theta(alpha_H) divisible by alpha_H^m for every hyperplane:
+  P_0 = Gram and P_m = P_{m-1} C_m, with the step matrix C_m = J(f) for
+  odd m and -(B^(m/2))^{-1} P_1^T for even m (``step_matrix``; det B^(m/2)
+  is a nonzero constant).  Each even step certifies the direct formula
+  C(k): P_{2k} J(D^k x) = Gram from C(k - 1) by D[P_{2k-1}] C_{2k} =
+  -P_{2k-2} and records it (``certify_direct_formula``); no D^k x with
+  k >= 2 is formed.  Odd m follows: Gram J(D^k x)^{-1} J(f) = P_{2k} J(f).
+  Columns have degree k*h (even m) or k*h + m_j (odd m), k = m // 2.
 
 * ``saito_certificate``: Saito's criterion on the memoised P_m
   (membership, degree sum, one evaluation; see ``saito``), computed once
   per P_m.  Its constant is det P_m / Q^m.
 
-* ``jdkx_inverse`` and ``jdkx_det_constant``: J(D^k x)^{-1} = Gram^{-1}
-  P_{2k} and det J(D^k x) * Q^(2k) = det Gram / (det P_{2k} / Q^(2k)),
-  both consequences of the certified product identity.
+* ``jdkx_inverse`` = Gram^{-1} P_{2k} and ``jdkx_det_constant`` = det Gram
+  / (det P_{2k} / Q^(2k)) = det J(D^k x) Q^(2k), consequences of C(k).
 
-* ``b_matrix``: the invariant matrix
-  B^(k) = -J(f)^T Gram J(D^k x) J(D^{k-1} x)^{-1} J(f), by that definition
-  for k = 1 and by the closed form k*B^(1) + (k-1)*B^(1)^T for k >= 2; the
-  product identities of P_{2k-2} and P_{2k} prove the two equal.
+* ``b_matrix``: B^(k) = -J(f)^T Gram J(D^k x) J(D^{k-1} x)^{-1} J(f), by
+  that definition for k = 1 and by the closed form k*B^(1) + (k-1)*B^(1)^T
+  for k >= 2; C(k - 1) and C(k) prove the two equal.
 
 Every step that the theory promises to be polynomial is asserted to be so;
 a failed assertion raises PipelineError, which always indicates a bug (in
@@ -59,8 +53,8 @@ from .exactpoly import (
     ArrFrac,
     Matrix,
     Poly,
-    expand_factor_powers,
     mat_det_adj,
+    pairs_equal,
     product_pair,
     rat_det,
     rat_mat_inv,
@@ -103,13 +97,14 @@ _saito_cache: dict[tuple[str, int], Certificate] = {}
 # (numerator, denominator exponents) of an unreduced fraction
 _Pair = tuple[Poly, Mapping[Poly, int]]
 _jf_inv_cache: dict[str, tuple[tuple[_Pair, ...], ...]] = {}
-# (P_{2k}, J(D^k x)) on which certify_direct_formula last succeeded, per k
-_direct_cache: dict[tuple[str, int], tuple[Matrix, Matrix]] = {}
+_step_cache: dict[tuple[str, int], Matrix] = {}
+# per k, the (P_{2k}, P_{2k-1}, C_{2k}, P_{2k-2}, D x) of the last success
+_direct_cache: dict[tuple[str, int], tuple] = {}
 
 
 def clear_caches() -> None:
     for cache in (_dx_cache, _dkx_cache, _jdkx_cache, _pm_cache, _b_cache, _saito_cache,
-                  _jf_inv_cache, _direct_cache):
+                  _jf_inv_cache, _step_cache, _direct_cache):
         cache.clear()
 
 
@@ -248,17 +243,11 @@ def _expected_degrees(system: CoxeterSystem, m: int) -> tuple[int, ...]:
     return tuple(k * system.h + e for e in system.exponents)
 
 
-def _validate_columns(system: CoxeterSystem, m: int, mat: Matrix) -> tuple[int, ...]:
-    degrees = _expected_degrees(system, m)
-    for j in range(system.rank):
-        for i in range(system.rank):
-            e = mat[i][j]
-            if e and (not e.is_homogeneous() or e.degree() != degrees[j]):
-                raise PipelineError(
-                    f"{system.key}: entry ({i + 1},{j + 1}) of P_{m} has degree "
-                    f"{e.degree()}, expected {degrees[j]}"
-                )
-    return degrees
+def _wrong_degree(mat: Matrix, degrees) -> tuple[int, int] | None:
+    """The first entry, column by column, that is not zero or homogeneous
+    of its column's degree."""
+    return next(((i, j) for j in range(mat.cols) for i in range(mat.rows) if mat[i][j] and (
+        not mat[i][j].is_homogeneous() or mat[i][j].degree() != degrees[j])), None)
 
 
 def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
@@ -276,10 +265,15 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
     if m == 0:
         mat = system.gram_matrix()
     else:
-        mat = p_matrix(system, m - 1).matrix @ step_matrix(system, m)
-    degrees = _validate_columns(system, m, mat)
+        step = step_matrix(system, m)
+        mat = p_matrix(system, m - 1).matrix @ step
+    degrees = _expected_degrees(system, m)
+    bad = _wrong_degree(mat, degrees)
+    if bad:
+        raise PipelineError(f"{system.key}: entry ({bad[0] + 1},{bad[1] + 1}) of P_{m} has "
+                            f"degree {mat[bad[0]][bad[1]].degree()}, expected {degrees[bad[1]]}")
     if m and m % 2 == 0:
-        certify_direct_formula(system, k, mat)
+        certify_direct_formula(system, k, mat, step)
     basis = DerivationBasis(system.key, m, k, mat, degrees)
     _pm_cache[(system.key, m)] = basis
     return basis
@@ -293,9 +287,12 @@ p_matrix_recursive = p_matrix
 def step_matrix(system: CoxeterSystem, m: int) -> Matrix:
     """The polynomial matrix C_m with P_m = P_{m-1} C_m, m >= 1: J(f) for
     odd m, -(B^(m/2))^{-1} P_1^T for even m (det B^(m/2) is a nonzero
-    constant, so the inverse is polynomial)."""
+    constant, so the inverse is polynomial), memoised."""
     if m % 2 == 1:
         return system.jacobian_of_invariants()
+    cached = _step_cache.get((system.key, m))
+    if cached is not None:
+        return cached
     k = m // 2
     det_b, adj_b = mat_det_adj(b_matrix(system, k).matrix)
     if not det_b.is_constant():
@@ -303,7 +300,9 @@ def step_matrix(system: CoxeterSystem, m: int) -> Matrix:
     c = det_b.constant_value()
     if c == 0:
         raise PipelineError(f"{system.key}: B^({k}) is singular")
-    return -(adj_b.map(lambda p: p * (1 / c)) @ p_matrix(system, 1).matrix.transpose())
+    cached = -(adj_b.map(lambda p: p * (1 / c)) @ p_matrix(system, 1).matrix.transpose())
+    _step_cache[(system.key, m)] = cached
+    return cached
 
 
 def saito_certificate(system: CoxeterSystem, basis: DerivationBasis) -> Certificate:
@@ -322,38 +321,63 @@ def saito_certificate(system: CoxeterSystem, basis: DerivationBasis) -> Certific
     return cert
 
 
-def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> None:
-    """Check P_{2k} J(D^k x) = Gram exactly, i.e. P_{2k} = Gram J(D^k x)^{-1}
-    (J(D^k x) is invertible), without inverting J(D^k x).
+def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix,
+                           step: Matrix | None = None) -> None:
+    """Certify C(k), k >= 1: P_{2k} J(D^k x) = Gram, that is, P_{2k} = Gram
+    J(D^k x)^{-1}, given C(k - 1) (C(0) is P_0 = Gram), by the identity
+    D[P_{2k-1}] C_{2k} = -P_{2k-2}, D[M] being D applied entrywise.
 
-    Each entry of the product is an unreduced sum N / d over its common
-    denominator d (``Matrix.product_pairs``), and N / d = Gram_ij exactly
-    when N = Gram_ij * d, so no entry is reduced unless it differs.  Raises
-    PipelineError naming the first entry of the product that differs.
+    Proof.  Write Y = J(D^{k-1} x) and Z = J(D^k x).  The chain rule gives
+    Z = J(Dx) Y + D[Y], and D f = e_l (``primitive_dx``) gives D[J(f)] =
+    -J(Dx) J(f).  With D[Y^{-1}] = -Y^{-1} D[Y] Y^{-1}, then
 
-    The pair (P_{2k}, J(D^k x)) of a success is recorded, and a call on the
-    same two objects returns at once; the identity is recomputed whenever
-    the memoised J(D^k x) or the given P_{2k} is another object.
+        D[Y^{-1} J(f)] = -Y^{-1} (D[Y] + J(Dx) Y) Y^{-1} J(f) = -Y^{-1} Z Y^{-1} J(f).
+
+    C(k - 1) gives Y^{-1} = Gram^{-1} P_{2k-2}; with P_{2k-1} = P_{2k-2} J(f),
+    P_{2k} = P_{2k-1} C_{2k} and Gram constant,
+
+        D[P_{2k-1}] C_{2k} = -P_{2k-2} Z Gram^{-1} P_{2k}.
+
+    P_{2k-2} is invertible by C(k - 1), so the identity holds exactly when
+    Z Gram^{-1} P_{2k} = I, which is C(k).
+
+    Each entry of D[P_{2k-1}] is reduced once (``apply_derivation``); for
+    k >= 2 they are polynomials on every catalog system tried (to m 8, rank
+    5 to m 4), so the product with C_{2k} is one over polynomials, compared
+    with -P_{2k-2} by ``pairs_equal``; a PipelineError names the first entry
+    that differs.  ``step`` is the C_{2k} that p_even was built from
+    (``p_matrix``); without it p_even is checked against P_{2k-1} times the
+    memoised ``step_matrix``, so a doctored copy fails.  A success is
+    recorded with its objects; the identity is recomputed only when
+    P_{2k-1}, C_{2k}, P_{2k-2} or D x is another object.
     """
-    jd = jdkx(system, k)
-    recorded = _direct_cache.get((system.key, k))
-    if recorded is not None and recorded[0] is p_even and recorded[1] is jd:
+    built = step is not None
+    step = step if built else step_matrix(system, 2 * k)
+    p_odd = p_matrix(system, 2 * k - 1).matrix
+    p_prev = p_matrix(system, 2 * k - 2).matrix
+    dx = primitive_dx(system)
+    objects = (p_even, p_odd, step, p_prev, dx)
+    recorded = _direct_cache.get((system.key, k), (None,) * 5)
+    same = [a is b for a, b in zip(objects, recorded)]
+    if all(same):
         return
-    # the entries of a column mostly share their denominator, so Gram_ij is
-    # put over it from one expansion per distinct denominator
-    expanded: dict[frozenset, Poly] = {}
-    for i, row in enumerate(p_even.product_pairs(jd)):
-        for j, (num, den) in enumerate(row):
-            key = frozenset(den.items())
-            d = expanded.get(key)
-            if d is None:
-                d = expanded[key] = expand_factor_powers(system.rank, den)
-            if num != d * system.gram[i][j]:
+    if not all(same[1:]):
+        d_odd = p_odd.map(lambda e: apply_derivation(e, dx))
+        for i, row in enumerate(d_odd.product_pairs(step)):
+            for j, lhs in enumerate(row):
+                if not pairs_equal(lhs, (-p_prev[i][j], {})):
+                    raise PipelineError(
+                        f"{system.key}: entry ({i + 1},{j + 1}) of D[P_{2 * k - 1}] "
+                        f"C_{2 * k} is {ArrFrac(*lhs)}, expected {-p_prev[i][j]}"
+                    )
+    if not built:
+        for i, j, e in (p_odd @ step).entries():
+            if p_even[i][j] != e:
                 raise PipelineError(
-                    f"{system.key}: entry ({i + 1},{j + 1}) of P_{2 * k} J(D^{k} x) "
-                    f"is {ArrFrac(num, den)}, expected {system.gram[i][j]}"
+                    f"{system.key}: entry ({i + 1},{j + 1}) of P_{2 * k} is "
+                    f"{p_even[i][j]}, expected P_{2 * k - 1} C_{2 * k} = {e}"
                 )
-    _direct_cache[(system.key, k)] = (p_even, jd)
+    _direct_cache[(system.key, k)] = objects
 
 
 def jdkx_inverse(system: CoxeterSystem, k: int) -> Matrix:
@@ -392,10 +416,10 @@ def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
 
     The definition B_def^(k) = -J(f)^T Gram J(D^k x) J(D^(k-1) x)^{-1} J(f)
     is not computed for k >= 2; the certificates of ``p_matrix`` prove it
-    equal to the closed form B_c^(k).  Write C(j) for P_{2j} J(D^j x) = Gram
-    (``certify_direct_formula``); C(0) holds trivially.  C(j) makes P_{2j}
-    invertible with J(D^j x) = P_{2j}^{-1} Gram.  With C(k - 1), C(k),
-    P_1 = Gram J(f) (Gram symmetric) and P_{2k-1} = P_{2k-2} J(f):
+    equal to the closed form B_c^(k).  C(j): P_{2j} J(D^j x) = Gram
+    (``certify_direct_formula``) makes P_{2j} invertible with J(D^j x) =
+    P_{2j}^{-1} Gram.  With C(k - 1), C(k), P_1 = Gram J(f) (Gram
+    symmetric) and P_{2k-1} = P_{2k-2} J(f):
 
         B_def^(k) = -J(f)^T Gram P_{2k}^{-1} Gram Gram^{-1} P_{2k-2} J(f)
                   = -P_1^T P_{2k}^{-1} P_{2k-1}.
@@ -403,8 +427,7 @@ def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
     The even step built P_{2k} = -P_{2k-1} (B_c^(k))^{-1} P_1^T, so
     P_{2k}^{-1} = -(P_1^T)^{-1} B_c^(k) P_{2k-1}^{-1} (P_{2k} invertible
     makes P_1 and P_{2k-1} invertible), and B_def^(k) = B_c^(k).  Building
-    P_{2k} runs C(j) for every j <= k, so B^(k) by definition is certified
-    by P_{2k} without a product over fractions.
+    P_{2k} certifies C(j) for every j <= k.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -414,11 +437,10 @@ def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
     if k == 1:
         jf = system.jacobian_of_invariants()
         work = jf.transpose() @ system.gram_matrix(frac=True) @ jdkx(system, 1) @ jf
-        for i in range(system.rank):
-            for j in range(system.rank):
-                if not work[i][j].is_polynomial():
-                    raise PipelineError(f"{system.key}: entry ({i + 1},{j + 1}) of "
-                                        f"B^(1) did not clear its denominator: {work[i][j]}")
+        for i, j, e in work.entries():
+            if not e.is_polynomial():
+                raise PipelineError(f"{system.key}: entry ({i + 1},{j + 1}) of "
+                                    f"B^(1) did not clear its denominator: {e}")
         mat = work.map(lambda e: -e.as_poly())
     else:
         b1 = b_matrix(system, 1).matrix

@@ -10,9 +10,8 @@ Representations:
 * ``Poly``: sparse polynomial.  Its coefficients are Python ints over one
   positive common denominator, coprime to all of them, so every kernel
   runs on integers; ``fractions.Fraction`` appears only where values enter
-  or leave (the constructor, ``items``, ``coefficient``, ``leading``,
-  ``constant_value``, ``product_at``, ``det_at``, rendering, and the scales
-  returned by ``is_constant_multiple`` and ``canonical_factor``).  Terms are stored in
+  or leave (constructor, accessors, evaluation, rendering, returned
+  scales).  Terms are stored in
   a dict keyed by a packed integer encoding of the exponent vector.  The
   packing puts the total degree in the most significant field, followed
   by the exponents of x1, x2, ... in order, so comparing packed keys as
@@ -863,7 +862,11 @@ def sum_pairs(
     return total, den
 
 
-# a numerator with more terms than this is lifted one factor power at a time
+# a numerator with more terms than this is lifted one factor power at a time.
+# Long lifts per pass: none on deep_basis, certify_sweep or warm_requests;
+# 340 of 1 542 on ``verify A4 --m 4 --checks jdg,equivariance,recursion``
+# (jdg(dx).ii and .iv 144 each, jdg(f).ii 20, J(D^2 x) 16, the certificate of
+# C(2) 16), where jdg(dx).iv took 11.5 s with whole lifts and 2.3 s stepwise.
 _LONG_NUMERATOR = 128
 
 
@@ -1098,6 +1101,10 @@ class ArrFrac:
         return pairs
 
     def substitute_linear(self, matrix) -> "ArrFrac":
+        """Replace each x_j by sum_i matrix[i][j] * x_i.  An invertible
+        matrix is a ring automorphism s, so the result stays reduced: s(f)
+        dividing s(num) would make f divide num, and distinct canonical
+        factors map to distinct ones.  A singular matrix is reduced."""
         num = self.num.substitute_linear(matrix)
         scale = _ONE
         den: dict[Poly, int] = {}
@@ -1105,7 +1112,8 @@ class ArrFrac:
             g, s = canonical_factor(f.substitute_linear(matrix))
             den[g] = den.get(g, 0) + e
             scale = scale * s**e
-        return ArrFrac(num * (1 / scale), den)
+        num = num * (1 / scale)
+        return ArrFrac._raw(num, den) if rat_det(matrix) else ArrFrac(num, den)
 
     # -- rendering ------------------------------------------------------------
 

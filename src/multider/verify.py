@@ -12,12 +12,10 @@ the inclusion by one exact product.
 
 Identities over fractions (``jdg``, ``equivariance``) are compared
 unreduced: the last product or derivative of each side is a grid of
-(numerator, denominator exponents) pairs, and two entries are equal
-exactly when their numerators agree over the per-factor maximum of the
-two denominators (``exactpoly.pairs_equal``).  Only the first differing
-entry is reduced, on both sides, to print its witness.  Intermediate
-products (J(g)^{-1} D[J(g)], J(g)^{-1} J(Dg), J(g)^{-1} J(f)) are kept
-reduced, since their reduced forms are smaller operands.
+(numerator, denominator exponents) pairs compared by
+``exactpoly.pairs_equal``, and only the first differing entry is reduced,
+on both sides, for its witness.  Intermediate products are kept reduced,
+since reduced they are smaller operands.
 
 The checks, by name as used in reports and on the command line:
 
@@ -50,22 +48,21 @@ The checks, by name as used in reports and on the command line:
                 constant determinant (one evaluation: with the degree table
                 det B^(k) is homogeneous of degree 2|A| - l h = 0); by
                 definition, B^(k) and B^(k+1) equal their closed forms and
-                B^(k+1) - B^(k) = B^(1) + B^(1)^T, certified by the
-                products P_{2j} J(D^j x) = Gram, j = k-1..k+1 (the proof is
-                in ``derivations.b_matrix``), read from the record of the
-                certificate that built the memoised P_{2j} and run again
-                only when P_{2j} or J(D^j x) is not the certified object.
+                B^(k+1) - B^(k) = B^(1) + B^(1)^T, which follow from
+                C(j): P_{2j} J(D^j x) = Gram for j <= k (def_eq_closed) or
+                j <= k + 1 (proof in ``derivations.b_matrix``), each
+                certified from C(j - 1) by D[P_{2j-1}] C_{2j} = -P_{2j-2}
+                and read from the record of the certificate that built
+                P_{2j}, run again only when one of its inputs changed.
 * equivariance  g[J(D^k x)] = rho^-1 J(D^k x) rho, g[J(f)] = rho^-1 J(f),
                 and g[P_m] = rho^T P_m for odd m, for every stored
                 generator.
-* recursion     the inductive P_m matches the direct formula: the exact
-                product P_{2k} J(D^k x) = Gram, k = m // 2 (odd m follows,
-                since P_{2k+1} = P_{2k} J(f) is the direct formula too),
-                recorded like the b-properties identities.
+* recursion     the inductive P_m matches the direct formula: C(j) for
+                j <= m // 2, certified and recorded as for b-properties
+                (odd m follows, as P_{2k+1} = P_{2k} J(f)).
 * nesting       the columns of P_m have polynomial coordinates in the
                 columns of P_{m-1}: the exact product P_{m-1} C_m = P_m
-                with the polynomial matrix C_m = J(f) (m odd) or
-                -(B^(m/2))^{-1} P_1^T (m even).
+                with the step matrix C_m (``derivations.step_matrix``).
 """
 
 from __future__ import annotations
@@ -78,6 +75,7 @@ from .derivations import (
     DerivationBasis,
     PipelineError,
     _expected_degrees,
+    _wrong_degree,
     apply_derivation,
     b_matrix,
     certify_direct_formula,
@@ -214,21 +212,14 @@ def verify_membership(system: CoxeterSystem, basis: DerivationBasis) -> CheckRec
 def verify_degrees(system: CoxeterSystem, basis: DerivationBasis) -> CheckRecord:
     t0 = time.perf_counter()
     expected = _expected_degrees(system, basis.m)
-    for j in range(system.rank):
-        for i in range(system.rank):
-            e = basis.matrix[i][j]
-            if e and (not e.is_homogeneous() or e.degree() != expected[j]):
-                rec = CheckRecord(
-                    "degrees",
-                    "fail",
-                    {"m": basis.m, "expected": list(expected)},
-                    {"entry": [i + 1, j + 1], "degree": e.degree()},
-                )
-                return _finish(rec, t0)
-    return _finish(
-        CheckRecord("degrees", "pass", {"m": basis.m, "column_degrees": list(expected)}),
-        t0,
-    )
+    bad = _wrong_degree(basis.matrix, expected)
+    if bad is None:
+        rec = CheckRecord("degrees", "pass", {"m": basis.m, "column_degrees": list(expected)})
+    else:
+        rec = CheckRecord("degrees", "fail", {"m": basis.m, "expected": list(expected)},
+                          {"entry": [bad[0] + 1, bad[1] + 1],
+                           "degree": basis.matrix[bad[0]][bad[1]].degree()})
+    return _finish(rec, t0)
 
 
 def verify_det_jdkx(system: CoxeterSystem, k: int) -> CheckRecord:
@@ -364,12 +355,11 @@ def _central_block(system: CoxeterSystem) -> set[tuple[int, int]]:
     return set()
 
 
-def _direct_formula_witness(system: CoxeterSystem, levels) -> dict | None:
-    """None when P_{2j} J(D^j x) = Gram holds for every j in levels, else
-    the failure of the first j that breaks it.  ``certify_direct_formula``
-    recomputes an identity only when the memoised P_{2j} or J(D^j x) is not
-    the object it last certified."""
-    for j in levels:
+def _direct_formula_witness(system: CoxeterSystem, top: int) -> dict | None:
+    """None when C(j) holds for every j <= top, each certified from C(j - 1)
+    (``certify_direct_formula``), else the failure of the first j that
+    breaks it."""
+    for j in range(1, top + 1):
         try:
             certify_direct_formula(system, j, p_matrix(system, 2 * j).matrix)
         except PipelineError as err:
@@ -384,10 +374,10 @@ def _certified_record(name: str, witness: dict | None, detail: dict) -> CheckRec
 def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
     """Structural properties of B^(k) plus the step identities to B^(k+1).
 
-    B^(j) by definition equals the closed form exactly when the product
-    identities C(j - 1) and C(j) hold, C(j) being P_{2j} J(D^j x) = Gram
-    (see ``derivations.b_matrix``), so the records that compare the
-    definition with the closed form recompute those identities.
+    B^(j) by definition equals the closed form exactly when C(j - 1) and
+    C(j) hold, C(j) being P_{2j} J(D^j x) = Gram (see
+    ``derivations.b_matrix``), so the records that compare the definition
+    with the closed form certify C(1), ..., C(j) (C(0) holds trivially).
     """
     records: list[CheckRecord] = []
     ell = system.rank
@@ -398,52 +388,36 @@ def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
     t0 = time.perf_counter()
     bk = b_matrix(system, k).matrix
     b1 = b_matrix(system, 1).matrix
-    witness = _direct_formula_witness(system, range(max(1, k - 1), k + 1))
+    witness = _direct_formula_witness(system, k)
     records.append(_finish(_certified_record(f"b({k}).def_eq_closed", witness, {}), t0))
 
+    cells = [(i, j) for i in range(ell) for j in range(ell)]
     t0 = time.perf_counter()
-    rec = CheckRecord(f"b({k}).degrees", "pass", {"rule": "m_i + m_j - h"})
-    for i in range(ell):
-        for j in range(ell):
-            e = bk[i][j]
-            want = exps[i] + exps[j] - h
-            if e and (not e.is_homogeneous() or e.degree() != want):
-                rec = CheckRecord(f"b({k}).degrees", "fail", {},
-                                  {"entry": [i + 1, j + 1], "degree": e.degree(),
-                                   "expected": want})
-                break
-        if rec.status == "fail":
-            break
+    want = {(i, j): exps[i] + exps[j] - h for i, j in cells}
+    bad = next(((i, j) for i, j in cells if bk[i][j] and (
+        not bk[i][j].is_homogeneous() or bk[i][j].degree() != want[i, j])), None)
+    rec = (CheckRecord(f"b({k}).degrees", "pass", {"rule": "m_i + m_j - h"}) if bad is None
+           else CheckRecord(f"b({k}).degrees", "fail", {},
+                            {"entry": [bad[0] + 1, bad[1] + 1],
+                             "degree": bk[bad[0]][bad[1]].degree(), "expected": want[bad]}))
     degrees = _finish(rec, t0)
     records.append(degrees)
 
     t0 = time.perf_counter()
-    rec = CheckRecord(f"b({k}).invariance", "pass",
-                      {"generators": len(system.generators)})
-    for gi, g in enumerate(system.generators):
-        for i in range(ell):
-            for j in range(ell):
-                e = bk[i][j]
-                if e and e.substitute_linear(g) != e:
-                    rec = CheckRecord(f"b({k}).invariance", "fail", {},
-                                      {"generator": gi + 1, "entry": [i + 1, j + 1]})
-                    break
-            if rec.status == "fail":
-                break
-        if rec.status == "fail":
-            break
+    bad = next(((gi, i, j) for gi, g in enumerate(system.generators) for i, j in cells
+                if bk[i][j] and bk[i][j].substitute_linear(g) != bk[i][j]), None)
+    rec = (CheckRecord(f"b({k}).invariance", "pass", {"generators": len(system.generators)})
+           if bad is None else
+           CheckRecord(f"b({k}).invariance", "fail", {},
+                       {"generator": bad[0] + 1, "entry": [bad[1] + 1, bad[2] + 1]}))
     records.append(_finish(rec, t0))
 
     t0 = time.perf_counter()
-    rec = CheckRecord(f"b({k}).shape", "pass", {"rule": "zero when i + j <= l"})
-    for i in range(ell):
-        for j in range(ell):
-            if i + j + 2 < ell + 1 and (i, j) not in central and bk[i][j]:
-                rec = CheckRecord(f"b({k}).shape", "fail", {},
-                                  {"entry": [i + 1, j + 1], "value": str(bk[i][j])})
-                break
-        if rec.status == "fail":
-            break
+    bad = next(((i, j) for i, j in cells
+                if i + j + 2 < ell + 1 and (i, j) not in central and bk[i][j]), None)
+    rec = (CheckRecord(f"b({k}).shape", "pass", {"rule": "zero when i + j <= l"}) if bad is None
+           else CheckRecord(f"b({k}).shape", "fail", {},
+                            {"entry": [bad[0] + 1, bad[1] + 1], "value": str(bk[bad[0]][bad[1]])}))
     records.append(_finish(rec, t0))
 
     # The m-weighted symmetry m_i B_ij = m_j B_ji holds for B^(1); at level k
@@ -505,14 +479,10 @@ def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
     # B^(k+1) - B^(k) and the closed form of B^(k+1), both by definition;
     # the detail key names the route these records have always checked
     t0 = time.perf_counter()
-    witness = _direct_formula_witness(system, range(max(1, k - 1), k + 2))
-    records.append(_finish(_certified_record(
-        f"b({k}).difference", witness, {"next_route": "definition"}), t0))
-
-    t0 = time.perf_counter()
-    witness = _direct_formula_witness(system, (k, k + 1))
-    records.append(_finish(_certified_record(
-        f"b({k}).closed_formula", witness, {"next_route": "definition"}), t0))
+    witness = _direct_formula_witness(system, k + 1)
+    for name in ("difference", "closed_formula"):
+        records.append(_finish(_certified_record(
+            f"b({k}).{name}", witness, {"next_route": "definition"}), t0))
     return records
 
 
@@ -553,11 +523,11 @@ def verify_equivariance(system: CoxeterSystem, k: int, m: int) -> list[CheckReco
 
 
 def verify_recursion(system: CoxeterSystem, m: int) -> CheckRecord:
-    """The product identity P_{2k} J(D^k x) = Gram on the memoised P_{2k}:
-    the record of the certificate that built it, unless P_{2k} or
-    J(D^k x) is not the object certified, which is then certified anew."""
+    """The direct formula for the memoised P_m: C(j) for j <= m // 2, read
+    from the records of the certificates that built P_{2j}, each run again
+    when one of its inputs is not the object it certified."""
     t0 = time.perf_counter()
-    witness = _direct_formula_witness(system, (m // 2,))
+    witness = _direct_formula_witness(system, m // 2)
     return _finish(_certified_record("recursion", witness, {"m": m}), t0)
 
 

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from multider.coxeter import get_system
+from multider.coxeter import catalog_entries, get_system
+from multider.derivations import primitive_dx
 from multider.exactpoly import (
     ArrFrac,
     Matrix,
     Poly,
     UnsupportedDenominator,
+    canonical_factor,
     divide_exact,
     expand_factor_powers,
     mat_det_adj,
@@ -120,6 +122,47 @@ def test_substitute_linear_on_fraction():
     assert a.substitute_linear(flip) == -a
     ident = [[1, 0], [0, 1]]
     assert a.substitute_linear(ident) == a
+
+
+def _substituted_and_reduced(a, g):
+    """a under the substitution g, rebuilt through ArrFrac(num, den), which
+    tries to strip every factor."""
+    num = a.num.substitute_linear(g)
+    den, scale = {}, Fraction(1)
+    for f, e in a.den.items():
+        h, c = canonical_factor(f.substitute_linear(g))
+        den[h] = den.get(h, 0) + e
+        scale *= c**e
+    return ArrFrac(num * (1 / scale), den)
+
+
+def test_invertible_substitution_needs_no_reduction(monkeypatch):
+    # every generator of every catalog system on D x_j and (D x_j)^2 (poles
+    # of order one and two): the result built as it stands equals the
+    # reduced one, keeps one factor per factor, and strips nothing
+    cases = []
+    for s in catalog_entries():
+        for d in primitive_dx(s):
+            for a in (d, d * d):
+                for g in s.generators:
+                    cases.append((a, g, _substituted_and_reduced(a, g)))
+
+    def no_strip(*args):
+        raise AssertionError("an invertible substitution was reduced")
+
+    monkeypatch.setattr(exactpoly, "strip_factor", no_strip)
+    for a, g, want in cases:
+        got = a.substitute_linear(g)
+        assert got.num == want.num and got.den == want.den
+        assert sorted(got.den.values()) == sorted(a.den.values())
+
+
+def test_singular_substitution_is_reduced():
+    # x2 -> 0 sends x1 / (x1 + x2) to x1 / x1 = 1
+    f, _ = canonical_factor(x1 + x2)
+    a = ArrFrac(x1 * 3, {f: 1})
+    got = a.substitute_linear([[1, 0], [0, 0]])
+    assert got.den == {} and got.num == Poly.const(2, 3)
 
 
 def test_frac_matrix_det_adj_reattaches_denominators():

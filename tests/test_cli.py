@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from oracles import perturb_jdkx
+from oracles import PERTURBATIONS
 
 from multider import cli, derivations, golden, verify
 from multider.cli import main
@@ -165,15 +165,39 @@ def test_bmatrix_routes(capsys):
     assert payload["result"]["routes_agree"] is True
 
 
-def test_bmatrix_definition_route_fails_on_perturbed_jdkx(capsys, monkeypatch):
-    # the definition route builds P_4, whose even step checks
-    # P_4 J(D^2 x) = Gram; cold caches, so that step runs here
+@pytest.mark.parametrize("fault", sorted(PERTURBATIONS))
+def test_bmatrix_definition_route_fails_on_perturbed_certificate_input(
+        capsys, monkeypatch, fault):
+    # the definition route builds P_4, whose even step certifies C(2) by
+    # D[P_3] C_4 = -P_2; P_0..P_3 are built before the fault, so that step
+    # runs here on it
     clear_caches()
-    perturb_jdkx(monkeypatch, 2)
+    s = get_system("B2")
+    p_matrix(s, 3)
+    PERTURBATIONS[fault](monkeypatch, s)
     code, out, err = run_cli(
         ["bmatrix", "B2", "--k", "2", "--route", "definition"], capsys)
     assert code == 1 and out == ""
-    assert err.startswith("internal error: ") and "entry (1,1) of P_4 J(D^2 x)" in err
+    assert err.startswith("internal error: ") and "entry (1,1) of D[P_3] C_4 is" in err
+
+
+def test_basis_and_bmatrix_form_no_dkx_beyond_dx(capsys, monkeypatch):
+    # the certificate of C(k) reads D[P_{2k-1}], not J(D^k x): cold requests
+    # form D x and J(D x) (B^(1) by definition) and nothing deeper
+    def only_first(real):
+        def call(system, k):
+            if k >= 2:
+                raise AssertionError(f"D^{k} x was formed")
+            return real(system, k)
+        return call
+
+    clear_caches()
+    monkeypatch.setattr(derivations, "jdkx", only_first(derivations.jdkx))
+    monkeypatch.setattr(derivations, "iterate_dkx", only_first(derivations.iterate_dkx))
+    for argv in (["basis", "A3", "--m", "8"], ["basis", "B4", "--m", "5"],
+                 ["bmatrix", "D4", "--k", "3", "--route", "both"]):
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), argv
 
 
 def test_bmatrix_needs_no_inverse_jacobian(capsys, monkeypatch):

@@ -7,12 +7,13 @@ everything there was computed independently of this code path.
 from fractions import Fraction
 
 import pytest
-from oracles import b_by_definition
+from oracles import b_by_definition, doubled_entry, perturb_p_memo
 
 from multider import golden
 from multider.coxeter import get_system, symmetric_polys
 from multider import derivations, verify
 from multider.derivations import (
+    PipelineError,
     apply_derivation,
     b_matrix,
     certify_direct_formula,
@@ -262,13 +263,19 @@ def test_d4_even_column_degrees():
     assert b.degrees == (6, 6, 6, 6)
 
 
+def product_identity_holds(s, k, p_even):
+    """P_{2k} J(D^k x) = Gram by one product over fractions, the certificate
+    of the direct formula before D[P_{2k-1}] C_{2k} = -P_{2k-2}."""
+    return p_even.to_frac() @ jdkx(s, k) == s.gram_matrix(frac=True)
+
+
 def direct_formula_holds(s, m):
     """P_m = Gram J(D^k x)^{-1} (times J(f) for odd m), k = m // 2, checked as
     P_{2k} J(D^k x) = Gram and P_m = P_{2k} J(f); J(D^k x) is invertible, so
     this is equivalent to comparing with the inverted formula."""
     k = m // 2
     p_even = p_matrix(s, 2 * k).matrix
-    if p_even.to_frac() @ jdkx(s, k) != s.gram_matrix(frac=True):
+    if not product_identity_holds(s, k, p_even):
         return False
     return m % 2 == 0 or p_matrix(s, m).matrix == p_even @ s.jacobian_of_invariants()
 
@@ -281,24 +288,56 @@ def test_recursive_equals_direct(key):
         assert direct_formula_holds(s, m), m
 
 
+def _certificate_holds(s, k, p_even):
+    """certify_direct_formula from scratch: its record is dropped first."""
+    derivations._direct_cache.pop((s.key, k), None)
+    try:
+        certify_direct_formula(s, k, p_even)
+    except PipelineError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key, top", [
+    ("B2", 8), ("A3", 8), ("B3", 8), ("D3", 8), ("B4", 4), ("D4", 4)])
+def test_certificate_agrees_with_the_product_identity(key, top):
+    # oracle: D[P_{2k-1}] C_{2k} = -P_{2k-2} with P_{2k} = P_{2k-1} C_{2k}
+    # holds exactly where P_{2k} J(D^k x) = Gram does, on a doctored copy of
+    # P_{2k} (neither) and on the memoised P_{2k} (both)
+    s = get_system(key)
+    for k in range(1, top // 2 + 1):
+        p_even = p_matrix(s, 2 * k).matrix
+        for mat in (doubled_entry(p_even), p_even):
+            holds = product_identity_holds(s, k, mat)
+            assert _certificate_holds(s, k, mat) == holds, (k, holds)
+        assert holds, k
+
+
 def test_direct_formula_is_recorded_with_its_objects(monkeypatch):
-    # C(j): P_{2j} J(D^j x) = Gram.  A memoised P_{2j} was certified with the
-    # memoised J(D^j x) when it was built, so verify reads that record and
-    # recomputes nothing; another object for either matrix is certified anew.
+    # C(j) is certified from C(j - 1) when P_{2j} is built; verify reads that
+    # record and recomputes nothing.  A copy of P_4 is another object: it is
+    # checked against P_3 C_4, while the identity D[P_3] C_4 = -P_2, which
+    # does not involve P_4, is read from the record.
     s = get_system("B2")
     p4 = p_matrix(s, 4).matrix
 
     def broken(*args, **kwargs):
-        raise AssertionError("the direct formula was recomputed")
+        raise AssertionError("the identity was recomputed")
 
-    monkeypatch.setattr(derivations, "expand_factor_powers", broken)
+    monkeypatch.setattr(derivations, "apply_derivation", broken)
     assert verify_recursion(s, 4).status == "pass"
     certified = {"b(1).def_eq_closed", "b(1).difference", "b(1).closed_formula"}
     recs = [r for r in verify_b_properties(s, 1) if r.name in certified]
     assert [r.status for r in recs] == ["pass"] * 3
-    copy = Matrix([[p4[i][j] for j in range(2)] for i in range(2)])
-    with pytest.raises(AssertionError, match="recomputed"):
-        certify_direct_formula(s, 2, copy)
+    certify_direct_formula(s, 2, Matrix([[p4[i][j] for j in range(2)] for i in range(2)]))
+    with pytest.raises(PipelineError, match=r"entry \(1,1\) of P_4 is .*, expected P_3 C_4 = "):
+        certify_direct_formula(s, 2, doubled_entry(p4))
+    certify_direct_formula(s, 2, p4)
+    # another memoised P_2 is another input of the identity, run again on it
+    monkeypatch.undo()
+    perturb_p_memo(monkeypatch, s, 2)
+    with pytest.raises(PipelineError, match=r"entry \(1,1\) of D\[P_3\] C_4 is"):
+        certify_direct_formula(s, 2, p4)
 
 
 def test_recursive_odd_rule():

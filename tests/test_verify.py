@@ -4,7 +4,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from oracles import perturb_jdkx
+from oracles import PERTURBATIONS, doubled_entry
 
 from multider import cli, derivations, verify
 from multider.coxeter import get_system
@@ -211,11 +211,8 @@ def test_jdg_identities_custom_g_with_denominator():
 
 def _perturb_memoised_jdkx(monkeypatch, system, k):
     """Double entry (1,1) of the memoised J(D^k x); undone after the test."""
-    mat = derivations.jdkx(system, k)
-    rows = [[mat[i][j] for j in range(mat.cols)] for i in range(mat.rows)]
-    assert rows[0][0]
-    rows[0][0] = rows[0][0] * 2
-    monkeypatch.setitem(derivations._jdkx_cache, (system.key, k), Matrix(rows))
+    monkeypatch.setitem(derivations._jdkx_cache, (system.key, k),
+                        doubled_entry(derivations.jdkx(system, k)))
 
 
 @pytest.mark.parametrize("g, k", [("x", 1), ("dx", 2)])
@@ -337,29 +334,38 @@ def test_recursion_check():
     assert verify_recursion(s, 4).status == "pass"
 
 
-def test_recursion_check_fails_on_perturbed_jdkx(monkeypatch):
-    # negative control: a wrong J(D^2 x) must break the product identity,
-    # even when P_4 is already memoised
+# C(1) fails for a perturbed D x (its identity) and P_2 (its product
+# P_2 = P_1 C_2); a perturbed C_4 leaves C(1) and fails C(2)
+_FIRST_FAILURE = {"step": "of D[P_3] C_4 is", "dx": "of D[P_1] C_2 is", "p2": "of P_2 is"}
+
+
+@pytest.mark.parametrize("fault", sorted(PERTURBATIONS))
+def test_recursion_check_fails_on_perturbed_certificate_input(monkeypatch, fault):
+    # negative control: P_4 is memoised and certified; a wrong input of the
+    # certificate C(j) -> C(j+1) must fail the record, with the entry
     s = get_system("B2")
-    perturb_jdkx(monkeypatch, 2)
+    p_matrix(s, 4)
+    PERTURBATIONS[fault](monkeypatch, s)
     rec = verify_recursion(s, 4)
     assert rec.status == "fail"
     assert rec.detail == {"m": 4}
-    assert "entry (1,1) of P_4 J(D^2 x)" in rec.witness["reason"]
+    assert f"entry (1,1) {_FIRST_FAILURE[fault]}" in rec.witness["reason"]
 
 
-def test_b_step_records_fail_on_perturbed_jdkx(monkeypatch):
+@pytest.mark.parametrize("fault", sorted(PERTURBATIONS))
+def test_b_step_records_fail_on_perturbed_certificate_input(monkeypatch, fault):
     # negative control: B^(2) by definition equals the closed form only if
-    # P_4 J(D^2 x) = Gram, so a wrong J(D^2 x) must fail both step records
-    # of level 1 (C(1) alone still holds, so def_eq_closed passes)
+    # C(1) and C(2) hold, so each fault fails both step records of level 1;
+    # def_eq_closed needs C(1) alone, which a perturbed C_4 leaves intact
     s = get_system("B2")
-    perturb_jdkx(monkeypatch, 2)
+    p_matrix(s, 4)
+    PERTURBATIONS[fault](monkeypatch, s)
     recs = {r.name: r for r in verify_b_properties(s, 1)}
-    assert recs["b(1).def_eq_closed"].status == "pass"
+    assert recs["b(1).def_eq_closed"].status == ("pass" if fault == "step" else "fail")
     for name in ("b(1).difference", "b(1).closed_formula"):
         assert recs[name].status == "fail", name
         assert recs[name].detail == {"next_route": "definition"}
-        assert "entry (1,1) of P_4 J(D^2 x)" in recs[name].witness["reason"]
+        assert f"entry (1,1) {_FIRST_FAILURE[fault]}" in recs[name].witness["reason"]
 
 
 def test_b_properties_need_no_inverse_jacobian(monkeypatch):
