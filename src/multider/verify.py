@@ -39,10 +39,16 @@ The checks, by name as used in reports and on the command line:
 * det-jdkx      det J(D^k x) * Q^(2k) is a nonzero rational constant:
                 det Gram divided by the certified constant of P_{2k}.
 * jdg           matrix identities relating J(D g), J(D x) and D applied
-                entrywise, for g in {x, f, D x}.  For g = D^k x, J(g) and
-                J(Dg) are the memoised J(D^k x) and J(D^(k+1) x), so the
-                identities test the memo; for g = x, J(D x) on the right
-                is the Jacobian of the certified primitive derivation.
+                entrywise, for g in {x, f, D x}.  i, J(Dg) = J(Dx) J(g) +
+                D[J(g)], is compared as it stands; for g = D^k x it reads
+                the memoised J(D^(k+1) x), and for g = x, J(D x) on the
+                right is the Jacobian of the certified primitive
+                derivation.  ii, D[J(g)^{-1}] = -J(g)^{-1} D[J(g)]
+                J(g)^{-1}, is D applied to J(g)^{-1} J(g) = I, so the
+                record is that product; for g = D^k x it reads the
+                memoised J(D^k x).  iv at g = D^k x is the certificate of
+                C(k + 1) (proof in ``verify_jdg_identities``); at g = f it
+                is compared as it stands.
 * b-properties  polynomiality, invariance, degree table, southeast shape,
                 antidiagonal relation, central block (type D, even rank),
                 constant determinant (one evaluation: with the degree table
@@ -269,8 +275,8 @@ def _jacobians(system: CoxeterSystem, g_key, dx):
 
 def _jacobian_inverse(system: CoxeterSystem, g_key, jg: Matrix, k: int | None):
     """J(g)^{-1}, or None when J(g) is singular.  For g = D^k x it is
-    Gram^{-1} P_{2k}, which the product identity certifies; for g = f the
-    memoised ``jf_inverse``, reduced."""
+    Gram^{-1} P_{2k} by C(k); for g = f the memoised ``jf_inverse``,
+    reduced.  Identity ii multiplies it by J(g)."""
     if k is not None:
         return jdkx_inverse(system, k)
     if g_key == "f":
@@ -291,10 +297,28 @@ def _jacobian_inverse(system: CoxeterSystem, g_key, jg: Matrix, k: int | None):
 
 def verify_jdg_identities(system: CoxeterSystem, g_key: str = "x",
                           include_f_identity: bool = True) -> list[CheckRecord]:
-    """Check J(Dg) = J(Dx) J(g) + D[J(g)] and its inverse-form companions.
+    """Check J(Dg) = J(Dx) J(g) + D[J(g)] (i) and its inverse-form
+    companions D[J(g)^{-1}] = -J(g)^{-1} D[J(g)] J(g)^{-1} (ii) and
+    D[J(g)^{-1} J(f)] = -J(g)^{-1} J(Dg) J(g)^{-1} J(f) (iv).
 
-    For g = D^k x the identities test the memoised J(D^k x) and
-    J(D^(k+1) x) rather than trust them.
+    i is compared as it stands; for g = D^k x it reads the memoised
+    J(D^(k+1) x) of ``derivations.jdkx``.
+
+    ii is D applied to J(g)^{-1} J(g) = I (D is a derivation, so
+    D[Y^{-1}] Y + Y^{-1} D[Y] = 0), so the record is that product, compared
+    with I.  For g = D^k x it is Gram^{-1} P_{2k} times the memoised
+    J(D^k x), for g = f the memoised adj J(f) / (c Q), reduced, times J(f).
+
+    iv at g = D^k x is the certificate of C(k + 1): P_{2k+2} J(D^(k+1) x) =
+    Gram.  Write Y = J(D^k x), Z = J(D^(k+1) x).  C(k) gives Y^{-1} =
+    Gram^{-1} P_{2k}, so with P_{2k+1} = P_{2k} J(f) iv reads
+    D[P_{2k+1}] = -P_{2k} Z Gram^{-1} P_{2k+1}; times C_{2k+2} on the right
+    (P_{2k+2} = P_{2k+1} C_{2k+2}, invertible) it is
+    D[P_{2k+1}] C_{2k+2} = -P_{2k} Z Gram^{-1} P_{2k+2}, and with C(k + 1)
+    that is D[P_{2k+1}] C_{2k+2} = -P_{2k}, the identity that certifies
+    C(k + 1) from C(k) (``derivations.certify_direct_formula``).  The record
+    reads the recorded certificates of C(1), ..., C(k + 1).  For g = f or a
+    custom g, iv is compared as it stands.
     """
     records: list[CheckRecord] = []
     dx = primitive_dx(system)
@@ -316,13 +340,17 @@ def verify_jdg_identities(system: CoxeterSystem, g_key: str = "x",
         records.append(_finish(CheckRecord(f"{tag}.ii", "skipped", {"reason": "J(g) singular"}), t0))
         records.append(CheckRecord(f"{tag}.iv", "skipped", {"reason": "J(g) singular"}))
     else:
-        rhs = _negated((inv @ d_jg).product_pairs(inv))
-        records.append(_finish(_eq_record(f"{tag}.ii", _d_pairs(inv, dx), rhs), t0))
+        one = Matrix.identity(system.rank, system.rank)
+        records.append(_finish(_eq_record(f"{tag}.ii", inv.product_pairs(jg), _pairs(one)), t0))
 
         t0 = time.perf_counter()
-        inv_jf = inv @ system.jacobian_of_invariants()
-        rhs = _negated((inv @ jdg).product_pairs(inv_jf))
-        records.append(_finish(_eq_record(f"{tag}.iv", _d_pairs(inv_jf, dx), rhs), t0))
+        if level is None:
+            inv_jf = inv @ system.jacobian_of_invariants()
+            rhs = _negated((inv @ jdg).product_pairs(inv_jf))
+            rec = _eq_record(f"{tag}.iv", _d_pairs(inv_jf, dx), rhs)
+        else:
+            rec = _certified_record(f"{tag}.iv", _direct_formula_witness(system, level + 1), {})
+        records.append(_finish(rec, t0))
 
     if include_f_identity:
         t0 = time.perf_counter()

@@ -5,14 +5,28 @@ faults that the certificates must catch.
 chain of four products over fractions.  The package builds B^(k) for
 k >= 2 by the closed form and certifies the definition through the
 product identities of P_m; the tests compare the two.
+
+``jdg_ii_in_full`` and ``jdg_iv_in_full`` are the ``jdg`` identities ii
+and iv with both sides formed and compared: D applied to J(g)^{-1} (and to
+J(g)^{-1} J(f)) against the product on the right.  The package checks ii as
+the product J(g)^{-1} J(g) = I and iv at g = D^k x as the certificate of
+C(k + 1); the tests compare the statuses.
 """
 
 import dataclasses
 import functools
 
 from multider import derivations
-from multider.derivations import PipelineError, jdkx, jdkx_inverse
-from multider.exactpoly import Matrix
+from multider.derivations import (
+    PipelineError,
+    apply_derivation,
+    jacobian,
+    jdkx,
+    jdkx_inverse,
+    jf_inverse,
+    primitive_dx,
+)
+from multider.exactpoly import ArrFrac, Matrix, mat_det_adj
 
 
 @functools.cache
@@ -35,6 +49,65 @@ def b_by_definition(system, k: int) -> Matrix:
                     f"clear its denominator: {work[i][j]}"
                 )
     return Matrix([[-work[i][j].as_poly() for j in range(ell)] for i in range(ell)])
+
+
+def _level(g_key: str) -> int | None:
+    return None if g_key == "f" else {"x": 0, "dx": 1}[g_key]
+
+
+def _jacobian_and_inverse(system, g_key: str) -> tuple[Matrix, Matrix]:
+    """J(g) and J(g)^{-1} as the pipeline holds them: the memoised J(D^k x)
+    and Gram^{-1} P_{2k}, or J(f) and the memoised adj J(f) / (c Q)."""
+    k = _level(g_key)
+    if k is None:
+        inv = Matrix([[ArrFrac(*pair) for pair in row] for row in jf_inverse(system)])
+        return system.jacobian_of_invariants(), inv
+    return jdkx(system, k), jdkx_inverse(system, k)
+
+
+def _status(holds) -> str:
+    """'pass' when holds() is true; 'fail' when it is false or the pipeline
+    cannot build an object the identity reads (PipelineError)."""
+    try:
+        return "pass" if holds() else "fail"
+    except PipelineError:
+        return "fail"
+
+
+def jdg_ii_in_full(system, g_key: str) -> str:
+    """Identity ii, D[J(g)^{-1}] = -J(g)^{-1} D[J(g)] J(g)^{-1}, for g in
+    {x, f, dx}, both sides formed."""
+    def holds():
+        dx = primitive_dx(system)
+        jg, inv = _jacobian_and_inverse(system, g_key)
+        d_jg = jg.map(lambda e: apply_derivation(e, dx))
+        return inv.map(lambda e: apply_derivation(e, dx)) == -(inv @ d_jg @ inv)
+
+    return _status(holds)
+
+
+def jdg_iv_in_full(system, g_key: str) -> str:
+    """Identity iv, D[J(g)^{-1} J(f)] = -J(g)^{-1} J(Dg) J(g)^{-1} J(f), for
+    g in {x, f, dx}, both sides formed.  For g = D^k x, J(Dg) is taken from
+    the direct formula as the inverse of W = Gram^{-1} P_{2k+2} (iv no
+    longer reads the memoised J(D^(k+1) x), which identity i tests): the
+    identity is compared times det W, with adj W in place of W^{-1}, so a W
+    that is singular, or whose inverse has poles off the arrangement, is a
+    failure, not an error."""
+    def holds():
+        dx = primitive_dx(system)
+        jf = system.jacobian_of_invariants()
+        _, inv = _jacobian_and_inverse(system, g_key)
+        inv_jf = inv @ jf
+        lhs = inv_jf.map(lambda e: apply_derivation(e, dx))
+        k = _level(g_key)
+        if k is None:
+            jdg = jacobian([apply_derivation(f, dx) for f in system.invariants])
+            return lhs == -(inv @ jdg @ inv_jf)
+        det, adj = mat_det_adj(jdkx_inverse(system, k + 1).map(lambda e: e.as_poly()))
+        return bool(det) and lhs.map(lambda e: e * det) == -(inv @ adj @ inv_jf)
+
+    return _status(holds)
 
 
 def doubled_entry(mat: Matrix) -> Matrix:
@@ -68,6 +141,23 @@ def perturb_p_memo(monkeypatch, system, m: int) -> None:
     basis = derivations.p_matrix(system, m)
     monkeypatch.setitem(derivations._pm_cache, (system.key, m),
                         dataclasses.replace(basis, matrix=doubled_entry(basis.matrix)))
+
+
+def perturb_jdkx_memo(monkeypatch, system, k: int) -> None:
+    """Double entry (1,1) of the memoised J(D^k x)."""
+    monkeypatch.setitem(derivations._jdkx_cache, (system.key, k),
+                        doubled_entry(derivations.jdkx(system, k)))
+
+
+def perturb_jf_inverse_memo(monkeypatch, system) -> None:
+    """Double the numerator of entry (1,1) of the memoised J(f)^{-1}, after
+    the primitive derivation (its last row) has been read from it."""
+    derivations.primitive_dx(system)
+    rows = derivations.jf_inverse(system)
+    (num, den), *rest = rows[0]
+    assert num
+    monkeypatch.setitem(derivations._jf_inv_cache, system.key,
+                        (((num * 2, den), *rest),) + rows[1:])
 
 
 # the inputs of the certificate of C(2) on B2 that the controls perturb,

@@ -4,7 +4,14 @@ import json
 from dataclasses import replace
 
 import pytest
-from oracles import PERTURBATIONS, doubled_entry
+from oracles import (
+    PERTURBATIONS,
+    doubled_entry,
+    jdg_ii_in_full,
+    jdg_iv_in_full,
+    perturb_jdkx_memo,
+    perturb_jf_inverse_memo,
+)
 
 from multider import cli, derivations, verify
 from multider.coxeter import get_system
@@ -209,18 +216,12 @@ def test_jdg_identities_custom_g_with_denominator():
     }
 
 
-def _perturb_memoised_jdkx(monkeypatch, system, k):
-    """Double entry (1,1) of the memoised J(D^k x); undone after the test."""
-    monkeypatch.setitem(derivations._jdkx_cache, (system.key, k),
-                        doubled_entry(derivations.jdkx(system, k)))
-
-
 @pytest.mark.parametrize("g, k", [("x", 1), ("dx", 2)])
 def test_jdg_checks_the_memoised_jacobians(monkeypatch, g, k):
     # negative control: J(Dg) is read from the memo, J(D^k x) for g = D^(k-1) x,
     # and a wrong memo entry must break identity i, not pass through it
     s = get_system("B2")
-    _perturb_memoised_jdkx(monkeypatch, s, k)
+    perturb_jdkx_memo(monkeypatch, s, k)
     recs = {r.name: r for r in verify_jdg_identities(s, g, include_f_identity=False)}
     assert recs[f"jdg({g}).i"].status == "fail"
     assert recs[f"jdg({g}).i"].witness["entry"] == [1, 1]
@@ -230,7 +231,7 @@ def test_jdg_witnesses_are_the_reduced_entries(monkeypatch):
     # both sides are compared unreduced; a failing entry is reduced on each
     # side only for its witness, which keeps these bytes
     s = get_system("B2")
-    _perturb_memoised_jdkx(monkeypatch, s, 2)
+    perturb_jdkx_memo(monkeypatch, s, 2)
     recs = {r.name: r.to_dict() for r in verify_jdg_identities(s, "dx", include_f_identity=False)}
     assert recs["jdg(dx).i"] == {
         "name": "jdg(dx).i", "status": "fail", "detail": {},
@@ -240,27 +241,92 @@ def test_jdg_witnesses_are_the_reduced_entries(monkeypatch):
             "rhs": "(35*x1^4 - 14*x1^2*x2^2 + 3*x2^4) / [(x1 + x2)^4 * (x1 - x2)^4 * (x1)^4]",
         },
     }
-    assert recs["jdg(dx).ii"]["status"] == "pass"  # J(D^2 x) is not in identity ii
+    # neither ii nor iv reads J(D^2 x): ii is P_2 J(D x) = Gram, iv the
+    # certificate of C(2)
+    assert recs["jdg(dx).ii"]["status"] == "pass"
     assert recs["jdg(dx).iv"] == {
-        "name": "jdg(dx).iv", "status": "fail", "detail": {},
-        "witness": {
-            "entry": [1, 1],
-            "lhs": "-5*x1",
-            "rhs": "(-80/9*x1^9 + 158/3*x1^7*x2^2 - 910/9*x1^5*x2^4 + 46*x1^3*x2^6 "
-                   "- 10*x1*x2^8) / [(x1 + x2)^4 * (x1 - x2)^4]",
-        },
+        "name": "jdg(dx).iv", "status": "pass", "detail": {}, "witness": None,
     }
 
 
 def test_jdg_ii_fails_on_a_perturbed_jacobian(monkeypatch):
-    # negative control: for g = D x, identity ii reads D[J(g)] from the
-    # memoised J(D x), and J(g)^{-1} from P_2
+    # negative control: for g = D x, identity ii is the product of
+    # J(g)^{-1} = Gram^{-1} P_2 (Gram = I on B2) with the memoised J(D x)
     s = get_system("B2")
-    _perturb_memoised_jdkx(monkeypatch, s, 1)
+    p_matrix(s, 2)
+    perturb_jdkx_memo(monkeypatch, s, 1)
     recs = {r.name: r for r in verify_jdg_identities(s, "dx", include_f_identity=False)}
     assert recs["jdg(dx).ii"].status == "fail"
     assert recs["jdg(dx).ii"].witness["entry"] == [1, 1]
-    assert recs["jdg(dx).ii"].witness["lhs"] == "(-10/3*x1^2 + 2*x2^2) / [(x1 + x2) * (x1 - x2)]"
+    assert recs["jdg(dx).ii"].witness["lhs"] == (
+        "(2*x1^4 - 16/3*x1^2*x2^2 + 2*x2^4) / [(x1 + x2)^2 * (x1 - x2)^2]")
+    assert recs["jdg(dx).ii"].witness["rhs"] == "1"
+
+
+# faults in the objects the jdg records read: the inputs of the certificates
+# of C(1) and C(2) (P_2, C_4, D x), the memoised J(f)^{-1} and J(D x)
+_JDG_FAULTS = dict(
+    PERTURBATIONS,
+    jf_inverse=perturb_jf_inverse_memo,
+    jdx=lambda monkeypatch, s: perturb_jdkx_memo(monkeypatch, s, 1),
+)
+
+
+@pytest.fixture
+def jdg_under_fault(monkeypatch):
+    """Run the jdg records of g in {x, f, dx} with one fault injected after
+    P_3 and J(D x) are built; P_4 is built under the fault.  Caches are
+    cleared before and after, so nothing built under a fault outlives the
+    test."""
+    def run(key, fault):
+        s = get_system(key)
+        clear_caches()
+        p_matrix(s, 3)
+        derivations.jdkx(s, 1)
+        if fault is not None:
+            _JDG_FAULTS[fault](monkeypatch, s)
+        return s, {r.name: r for g in ("x", "f", "dx")
+                   for r in verify_jdg_identities(s, g, include_f_identity=(g == "x"))}
+
+    yield run
+    clear_caches()
+
+
+# B2: every jdg record each fault fails.  A certificate of C(1) or C(2)
+# reads P_2, C_4 and D x; ii reads J(f)^{-1} or P_2 and the memoised
+# Jacobian; i at g = f and g = D x reads the memoised J(D x) on its right
+_JDG_CONTROLS = {
+    "p2": {"jdg(x).iv", "jdg(dx).ii", "jdg(dx).iv"},
+    "step": {"jdg(dx).iv"},
+    "dx": {"jdg(x).i", "jdg(x).iv", "jdg.iii", "jdg(f).i", "jdg(f).iv",
+           "jdg(dx).i", "jdg(dx).iv"},
+    "jf_inverse": {"jdg(f).ii", "jdg(f).iv"},
+    "jdx": {"jdg(x).i", "jdg(f).i", "jdg(dx).i", "jdg(dx).ii"},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_JDG_CONTROLS))
+def test_jdg_records_fail_on_a_fault_in_what_they_read(jdg_under_fault, fault):
+    _, recs = jdg_under_fault("B2", fault)
+    failed = {name for name, r in recs.items() if r.status == "fail"}
+    assert failed == _JDG_CONTROLS[fault]
+    for name in failed:
+        witness = recs[name].witness
+        # entry records name the entry, certificate records the entry of
+        # the identity that broke
+        assert witness.get("entry") == [1, 1] or "entry (1,1) " in witness["reason"], name
+
+
+@pytest.mark.parametrize("fault", [None] + sorted(_JDG_FAULTS))
+@pytest.mark.parametrize("key", ["B2", "A3", "B3", "D3", "I2(5)"])
+def test_jdg_ii_iv_agree_with_the_identities_in_full(jdg_under_fault, key, fault):
+    # oracle: ii as the product J(g)^{-1} J(g) = I and iv at g = D^k x as
+    # the certificate of C(k + 1) report what the identities with both
+    # sides formed report, with and without a fault
+    s, recs = jdg_under_fault(key, fault)
+    for g in ("x", "f", "dx"):
+        assert recs[f"jdg({g}).ii"].status == jdg_ii_in_full(s, g), g
+        assert recs[f"jdg({g}).iv"].status == jdg_iv_in_full(s, g), g
 
 
 def test_jdg_iii_fails_on_a_perturbed_primitive_derivation(monkeypatch):
@@ -284,7 +350,7 @@ def test_equivariance_jdkx_fails_on_a_perturbed_jacobian(monkeypatch):
     # negative control: doubling entry (1,1) of J(D x) survives the sign
     # change g1 of B2 but not the generator g2 that mixes the coordinates
     s = get_system("B2")
-    _perturb_memoised_jdkx(monkeypatch, s, 1)
+    perturb_jdkx_memo(monkeypatch, s, 1)
     recs = {r.name: r for r in verify_equivariance(s, 1, 2)}
     assert recs["equivariance.g1.jdkx"].status == "pass"
     assert recs["equivariance.g2.jdkx"].status == "fail"
