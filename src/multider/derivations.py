@@ -29,9 +29,10 @@ From these the module constructs:
 * ``jdkx_inverse`` = Gram^{-1} P_{2k} and ``jdkx_det_constant`` = det Gram
   / (det P_{2k} / Q^(2k)) = det J(D^k x) Q^(2k), consequences of C(k).
 
-* ``b_matrix``: B^(k) = -J(f)^T Gram J(D^k x) J(D^{k-1} x)^{-1} J(f), by
-  that definition for k = 1 and by the closed form k*B^(1) + (k-1)*B^(1)^T
-  for k >= 2; C(k - 1) and C(k) prove the two equal.
+* ``b_matrix``: B^(k) = -J(f)^T Gram J(D^k x) J(D^{k-1} x)^{-1} J(f), as
+  J(f)^T D[P_1] for k = 1 (D f = e_l proves it equal to the definition; the
+  certificate of C(1) reads the same D[P_1]) and by the closed form
+  k*B^(1) + (k-1)*B^(1)^T for k >= 2; C(k - 1) and C(k) prove the two equal.
 
 Every step that the theory promises to be polynomial is asserted to be so;
 a failed assertion raises PipelineError, which always indicates a bug (in
@@ -100,11 +101,13 @@ _jf_inv_cache: dict[str, tuple[tuple[_Pair, ...], ...]] = {}
 _step_cache: dict[tuple[str, int], Matrix] = {}
 # per k, the (P_{2k}, P_{2k-1}, C_{2k}, P_{2k-2}, D x) of the last success
 _direct_cache: dict[tuple[str, int], tuple] = {}
+# the (P_1, D x, D[P_1]) of the last D[P_1] formed
+_dp1_cache: dict[str, tuple[Matrix, tuple[ArrFrac, ...], Matrix]] = {}
 
 
 def clear_caches() -> None:
     for cache in (_dx_cache, _dkx_cache, _jdkx_cache, _pm_cache, _b_cache, _saito_cache,
-                  _jf_inv_cache, _step_cache, _direct_cache):
+                  _jf_inv_cache, _step_cache, _direct_cache, _dp1_cache):
         cache.clear()
 
 
@@ -349,7 +352,10 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix,
     (``p_matrix``); without it p_even is checked against P_{2k-1} times the
     memoised ``step_matrix``, so a doctored copy fails.  A success is
     recorded with its objects; the identity is recomputed only when
-    P_{2k-1}, C_{2k}, P_{2k-2} or D x is another object.
+    P_{2k-1}, C_{2k}, P_{2k-2} or D x is another object.  At k = 1 it reads
+    the D[P_1] that B^(1) = J(f)^T D[P_1] was built from (``_d_p1``); the
+    identity then holds exactly when C_2 = -(B^(1))^{-1} P_1^T for that
+    B^(1), so a memoised B^(1) with a sign slip or a wrong entry fails it.
     """
     built = step is not None
     step = step if built else step_matrix(system, 2 * k)
@@ -362,7 +368,8 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix,
     if all(same):
         return
     if not all(same[1:]):
-        d_odd = p_odd.map(lambda e: apply_derivation(e, dx))
+        d_odd = _d_p1(system, p_odd, dx) if k == 1 else p_odd.map(
+            lambda e: apply_derivation(e, dx))
         for i, row in enumerate(d_odd.product_pairs(step)):
             for j, lhs in enumerate(row):
                 if not pairs_equal(lhs, (-p_prev[i][j], {})):
@@ -378,6 +385,19 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix,
                     f"{p_even[i][j]}, expected P_{2 * k - 1} C_{2 * k} = {e}"
                 )
     _direct_cache[(system.key, k)] = objects
+
+
+def _d_p1(system: CoxeterSystem, p1: Matrix, dx: tuple[ArrFrac, ...]) -> Matrix:
+    """D[P_1], D (coordinates dx) applied entrywise to P_1 = Gram J(f),
+    each entry reduced once (``apply_derivation``).  B^(1) and the
+    certificate of C(1) both read it.  It is recorded with the P_1 and D x
+    it came from and formed again when either is another object, so a
+    perturbed memo never serves a later caller."""
+    recorded = _dp1_cache.get(system.key)
+    if recorded is None or recorded[0] is not p1 or recorded[1] is not dx:
+        recorded = (p1, dx, p1.map(lambda e: apply_derivation(e, dx)))
+        _dp1_cache[system.key] = recorded
+    return recorded[2]
 
 
 def jdkx_inverse(system: CoxeterSystem, k: int) -> Matrix:
@@ -411,8 +431,20 @@ class BMatrix:
 
 
 def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
-    """The invariant matrix B^(k): B^(1) = -J(f)^T Gram J(D x) J(f) by
-    definition, and B^(k) = k B^(1) + (k-1) B^(1)^T for k >= 2.
+    """The invariant matrix B^(k): B^(1) = J(f)^T D[P_1], and B^(k) =
+    k B^(1) + (k-1) B^(1)^T for k >= 2.
+
+    B^(1) is the definition -J(f)^T Gram J(D x) J(f), with no J(D x)
+    formed.  ``primitive_dx`` certifies D f_j = delta_{jl}; its derivative
+    by x_a is
+
+        sum_c d_a(D x_c) d_c f_j + sum_c D x_c d_c d_a f_j = 0,
+
+    that is, J(D x) J(f) + D[J(f)] = 0.  Gram is constant, so D[P_1] =
+    Gram D[J(f)] = -Gram J(D x) J(f), and -J(f)^T Gram J(D x) J(f) =
+    J(f)^T D[P_1].  D[P_1] is the one ``_d_p1`` records for the certificate
+    of C(1); the product is one over fractions, and an entry that keeps a
+    denominator raises PipelineError.
 
     The definition B_def^(k) = -J(f)^T Gram J(D^k x) J(D^(k-1) x)^{-1} J(f)
     is not computed for k >= 2; the certificates of ``p_matrix`` prove it
@@ -435,13 +467,13 @@ def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
     if cached is not None:
         return cached
     if k == 1:
-        jf = system.jacobian_of_invariants()
-        work = jf.transpose() @ system.gram_matrix(frac=True) @ jdkx(system, 1) @ jf
+        d_p = _d_p1(system, p_matrix(system, 1).matrix, primitive_dx(system))
+        work = system.jacobian_of_invariants().transpose() @ d_p
         for i, j, e in work.entries():
             if not e.is_polynomial():
                 raise PipelineError(f"{system.key}: entry ({i + 1},{j + 1}) of "
                                     f"B^(1) did not clear its denominator: {e}")
-        mat = work.map(lambda e: -e.as_poly())
+        mat = work.map(lambda e: e.as_poly())
     else:
         b1 = b_matrix(system, 1).matrix
         mat = b1.map(lambda p: p * k) + b1.transpose().map(lambda p: p * (k - 1))

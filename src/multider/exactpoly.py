@@ -864,13 +864,14 @@ def sum_pairs(
 
 # a numerator with more terms than this is lifted one factor power at a time.
 # Long lifts per cold request: none on deep_basis, certify_sweep or
-# warm_requests; 32 of 974 on ``verify A4 --m 4 --checks
+# warm_requests; 32 of 926 on ``verify A4 --m 4 --checks
 # jdg,equivariance,recursion`` (identity i at g = D x 16, the certificate of
-# C(2) 16); 144 of 384 on ``basis A4 --m 8`` and 190 of 500 on ``basis A5
-# --m 4`` (D[P_{2k-1}] and B^(1)).  With whole lifts only, ``basis A5 --m 4``
-# took 9.9-14.0 s against 6.4-10.9 s, slower in six of six alternating
-# runs (shared 2-vCPU VM, Python 3.11.7); the A4 requests moved within
-# their spread.
+# C(2) 16); 144 of 336 on ``basis A4 --m 8`` and 125 of 400 on ``basis A5
+# --m 4``, all in D[P_{2k-1}] at k >= 2 (B^(1) = J(f)^T D[P_1] takes none).
+# With whole lifts only, ``basis A5 --m 4`` took 9.9-14.0 s against
+# 6.4-10.9 s, slower in six of six alternating runs, when B^(1) was still
+# the product -J(f)^T Gram J(D x) J(f) (shared 2-vCPU VM, Python 3.11.7);
+# the A4 requests moved within their spread.
 _LONG_NUMERATOR = 128
 
 

@@ -1,6 +1,8 @@
 """Command line behaviour: exit codes, determinism, formats, golden selftest."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 from oracles import PERTURBATIONS
@@ -181,23 +183,50 @@ def test_bmatrix_definition_route_fails_on_perturbed_certificate_input(
     assert err.startswith("internal error: ") and "entry (1,1) of D[P_3] C_4 is" in err
 
 
-def test_basis_and_bmatrix_form_no_dkx_beyond_dx(capsys, monkeypatch):
-    # the certificate of C(k) reads D[P_{2k-1}], not J(D^k x): cold requests
-    # form D x and J(D x) (B^(1) by definition) and nothing deeper
-    def only_first(real):
+def test_basis_and_bmatrix_form_no_dkx_at_any_k(capsys, monkeypatch):
+    # B^(1) is J(f)^T D[P_1] and the certificate of C(k) reads D[P_{2k-1}]:
+    # cold requests form the primitive derivation D x and neither D^k x nor
+    # J(D^k x) at any k >= 1
+    def broken(name):
         def call(system, k):
-            if k >= 2:
-                raise AssertionError(f"D^{k} x was formed")
-            return real(system, k)
+            raise AssertionError(f"{name}({system.key}, {k}) was called")
         return call
 
     clear_caches()
-    monkeypatch.setattr(derivations, "jdkx", only_first(derivations.jdkx))
-    monkeypatch.setattr(derivations, "iterate_dkx", only_first(derivations.iterate_dkx))
+    monkeypatch.setattr(derivations, "jdkx", broken("jdkx"))
+    monkeypatch.setattr(derivations, "iterate_dkx", broken("iterate_dkx"))
     for argv in (["basis", "A3", "--m", "8"], ["basis", "B4", "--m", "5"],
-                 ["bmatrix", "D4", "--k", "3", "--route", "both"]):
+                 ["bmatrix", "D4", "--k", "3", "--route", "both"],
+                 ["bmatrix", "I2(5)", "--k", "1", "--route", "closed-form"]):
         code, _, err = run_cli(argv, capsys)
         assert (code, err) == (0, ""), argv
+        assert argv[1] in derivations._dx_cache, argv
+
+
+@pytest.mark.parametrize("doctor", ["negated", "doubled"])
+@pytest.mark.parametrize("argv", [["basis", "B3", "--m", "2"],
+                                  ["bmatrix", "B2", "--k", "1", "--route", "definition"]])
+def test_doctored_b1_fails_the_certificate_of_c1(capsys, monkeypatch, doctor, argv):
+    # negative control: C_2 is the inverse of the memoised B^(1), and the
+    # certificate of C(1) multiplies it by the D[P_1] that B^(1) must be
+    # built from, so a B^(1) with a sign slip or a doubled antidiagonal
+    # entry (its entry (1,1) is zero) fails at an entry of D[P_1] C_2
+    clear_caches()
+    s = get_system(argv[1])
+    b1 = derivations.b_matrix(s, 1)
+    rows = [list(b1.matrix[i]) for i in range(s.rank)]
+    if doctor == "negated":
+        rows = [[-e for e in row] for row in rows]
+    else:
+        rows[0][-1] = rows[0][-1] * 2
+    clear_caches()
+    monkeypatch.setitem(derivations._b_cache, (s.key, 1),
+                        dataclasses.replace(b1, matrix=Matrix(rows)))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert re.match(rf"internal error: {argv[1]}: entry \(\d,\d\) of D\[P_1\] C_2 is ", err), err
+    # the C_2 inverted from the doctored B^(1) is memoised
+    clear_caches()
 
 
 def test_bmatrix_needs_no_inverse_jacobian(capsys, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from oracles import b_by_definition, doubled_entry, perturb_p_memo
 
 from multider import golden
-from multider.coxeter import get_system, symmetric_polys
+from multider.coxeter import catalog_entries, get_system, symmetric_polys
 from multider import derivations, verify
 from multider.derivations import (
     PipelineError,
@@ -376,6 +376,27 @@ def test_b_routes_agree():
         s = get_system(key)
         for k in (1, 2, 3, 4):
             assert b_matrix(s, k).matrix == b_by_definition(s, k), (key, k)
+
+
+@pytest.mark.parametrize("s", catalog_entries(max_rank=4), ids=lambda s: s.key)
+def test_b1_equals_the_definition(s):
+    # oracle: J(f)^T D[P_1] against the definition -J(f)^T Gram J(D x) J(f),
+    # formed in full over fractions
+    assert b_matrix(s, 1).matrix == b_by_definition(s, 1)
+
+
+def test_clear_caches_empties_every_memo():
+    # a cold request must build everything again, the record of D[P_1]
+    # included; every module-level memo is filled first
+    s = get_system("B2")
+    derivations.saito_certificate(s, p_matrix(s, 4))
+    jdkx(s, 1)
+    memos = {name: value for name, value in vars(derivations).items()
+             if name.startswith("_") and name.endswith("_cache") and isinstance(value, dict)}
+    assert "_dp1_cache" in memos
+    assert [name for name, memo in memos.items() if not memo] == []
+    clear_caches()
+    assert [name for name, memo in memos.items() if memo] == []
 
 
 def test_b_rejects_bad_k():

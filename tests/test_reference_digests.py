@@ -4,7 +4,8 @@
 the benchmark workloads can send, keyed by the space-joined argument vector.
 Each request is replayed through ``cli.main`` with the derivation memo
 cleared first, so a change to any printed byte fails here as well as in the
-benchmark.
+benchmark.  ``PINNED`` holds the digests of deeper rank-4 requests that no
+workload sends, taken before B^(1) was built from D[P_1].
 """
 
 import contextlib
@@ -24,11 +25,32 @@ REFERENCE = json.loads(
 )
 
 
-@pytest.mark.parametrize("key", sorted(REFERENCE))
-def test_stdout_matches_reference_digest(key):
+PINNED = {
+    "basis B4 --m 8 --format json":
+        "372d5a55ff81cc4e9951e88dce923bea929f7777c8e86a098e31467264b5aa2a",
+    "basis D4 --m 8 --format json":
+        "c2443ac7a844948df50f7ad0ac0300da889209e09af97ceb45f96da4aeadb662",
+    "bmatrix B4 --k 4 --route both --format json":
+        "4b924ac89206d775b075d599307e66fbaaabbb9e1eb8f854ac94425d69b92e1e",
+    "bmatrix D4 --k 4 --route both --format json":
+        "b2083254b3307982a79aed4c7240f587421916bf4ee8259458efcf1dd798c7a5",
+}
+
+
+def cold_stdout_digest(key: str) -> str:
     derivations.clear_caches()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(key.split(" "))
     assert code == 0
-    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == REFERENCE[key]
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCE))
+def test_stdout_matches_reference_digest(key):
+    assert cold_stdout_digest(key) == REFERENCE[key]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_stdout_matches_pinned_digest(key):
+    assert cold_stdout_digest(key) == PINNED[key]
