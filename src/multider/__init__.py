@@ -23,7 +23,6 @@ from .exactpoly import (
     ArrFrac,
     Matrix,
     Poly,
-    UnsupportedDenominator,
     divide_exact,
     is_constant_multiple,
     mat_det_adj,
@@ -40,7 +39,6 @@ __all__ = [
     "Matrix",
     "PipelineError",
     "Poly",
-    "UnsupportedDenominator",
     "VerificationReport",
     "apply_derivation",
     "b_matrix",

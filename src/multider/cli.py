@@ -7,8 +7,8 @@
     multider catalog           [--format json|text]
 
 Exit codes: 0 success (and, for verify/selftest, every check passed),
-1 a check failed or an internal error (PipelineError, UnsupportedDenominator
-or any other exception, reported on stderr without a traceback),
+1 a check failed or an internal error (PipelineError or any other
+exception, reported on stderr without a traceback),
 2 unknown or unsupported system key / usage error, 3 a resource limit was
 exceeded without --override-limits.
 
@@ -27,7 +27,7 @@ import sys
 
 from .coxeter import CatalogError, build_system, catalog_entries, parse_key
 from .derivations import PipelineError, b_matrix, p_matrix
-from .exactpoly import Matrix, UnsupportedDenominator, poly_to_records
+from .exactpoly import Matrix, poly_to_records
 from .golden import run_selftest
 from .verify import CHECK_NAMES, resolve_checks, run_verification, verify_ziegler
 
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     except CatalogError as err:
         print(f"catalog integrity error: {err}", file=sys.stderr)
         return 1
-    except (PipelineError, UnsupportedDenominator) as err:
+    except PipelineError as err:
         # an identity the construction guarantees failed: a bug, not a usage error
         print(f"internal error: {err}", file=sys.stderr)
         return 1

@@ -500,7 +500,10 @@ def get_system(key: str) -> CoxeterSystem:
     return build_system(family, rank, order)
 
 
-def catalog_entries(max_rank: int = 5, dihedral_orders=(3, 4, 5, 6, 7, 8)) -> list[CoxeterSystem]:
+_CATALOG_DIHEDRAL_ORDERS = (3, 4, 5, 6, 7, 8)
+
+
+def catalog_entries(max_rank: int = 5) -> list[CoxeterSystem]:
     """The default systems listed by the command line catalog."""
     out = []
     for rank in range(1, max_rank + 1):
@@ -509,6 +512,6 @@ def catalog_entries(max_rank: int = 5, dihedral_orders=(3, 4, 5, 6, 7, 8)) -> li
         out.append(build_system("B", rank))
     for rank in range(3, max_rank + 1):
         out.append(build_system("D", rank))
-    for m in dihedral_orders:
+    for m in _CATALOG_DIHEDRAL_ORDERS:
         out.append(build_system("I2", 2, m))
     return out

@@ -62,7 +62,6 @@ __all__ = [
     "Poly",
     "ArrFrac",
     "Matrix",
-    "UnsupportedDenominator",
     "divide_exact",
     "strip_factor",
     "is_constant_multiple",
@@ -123,22 +122,6 @@ def _pack(exps: Sequence[int], shifts: Sequence[int], deg_shift: int) -> int:
 
 def _unpack(key: int, shifts: Sequence[int]) -> tuple[int, ...]:
     return tuple((key >> s) & _MASK for s in shifts)
-
-
-class UnsupportedDenominator(ValueError):
-    """A division produced a denominator outside the arrangement factors.
-
-    Carries the irreducible residual as a witness.  In the derivation
-    pipeline this is unreachable (all determinants are constant multiples
-    of powers of the defining polynomial); seeing it means a bug, so it is
-    surfaced loudly instead of being generalised away.
-    """
-
-    def __init__(self, residual: "Poly"):
-        super().__init__(
-            f"denominator does not factor over the arrangement forms: {residual}"
-        )
-        self.residual = residual
 
 
 # ---------------------------------------------------------------------------
@@ -863,15 +846,12 @@ def sum_pairs(
 
 
 # a numerator with more terms than this is lifted one factor power at a time.
-# Long lifts per cold request: none on deep_basis, certify_sweep or
-# warm_requests; 32 of 926 on ``verify A4 --m 4 --checks
-# jdg,equivariance,recursion`` (identity i at g = D x 16, the certificate of
-# C(2) 16); 144 of 336 on ``basis A4 --m 8`` and 125 of 400 on ``basis A5
-# --m 4``, all in D[P_{2k-1}] at k >= 2 (B^(1) = J(f)^T D[P_1] takes none).
-# With whole lifts only, ``basis A5 --m 4`` took 9.9-14.0 s against
-# 6.4-10.9 s, slower in six of six alternating runs, when B^(1) was still
-# the product -J(f)^T Gram J(D x) J(f) (shared 2-vCPU VM, Python 3.11.7);
-# the A4 requests moved within their spread.
+# Long lifts per cold request: none on the benchmark pools; 144 of 336 on
+# ``basis A4 --m 8`` and 125 of 400 on ``basis A5 --m 4``, all in D[P_{2k-1}]
+# at k >= 2; 96 of 888 on ``verify A4 --m 4 --checks all``.  A cold
+# ``basis A5 --m 4`` took 9.2-13.2 s with them and 11.8-16.8 s with whole
+# lifts only, slower in six of six alternating pairs, same stdout (2026-10-20,
+# shared 2-vCPU Xeon VM, Python 3.11.7).
 _LONG_NUMERATOR = 128
 
 
@@ -1041,27 +1021,6 @@ class ArrFrac:
         return ArrFrac(*product_pair(self, other.num, other.den))
 
     __rmul__ = __mul__
-
-    def inverse(self, extra_factors: Iterable[Poly] = ()) -> "ArrFrac":
-        """Reciprocal, factoring the numerator over known arrangement forms.
-
-        Raises UnsupportedDenominator when the numerator does not reduce to
-        a constant against the candidate factors.
-        """
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero")
-        candidates = dict.fromkeys(list(self.den) + list(extra_factors))
-        rem = self.num
-        new_den: dict[Poly, int] = {}
-        for f in sorted_factors(candidates):
-            rem, e = strip_factor(rem, f, rem.degree())
-            if e:
-                new_den[f] = e
-        if not rem.is_constant():
-            raise UnsupportedDenominator(rem)
-        c = rem.constant_value()
-        new_num = expand_factor_powers(self.nvars, self.den) * (1 / c)
-        return ArrFrac(new_num, new_den)
 
     # -- calculus and substitution --------------------------------------------
 
@@ -1298,8 +1257,9 @@ def mat_det_adj(matrix: Matrix) -> tuple[Poly, Matrix]:
 
     A fraction-free cofactor expansion along the first remaining row,
     each minor computed once.  A singular matrix yields det == 0 with the
-    classical adjugate still valid.  A matrix over ArrFrac is cleared of
-    its denominators by the caller (as ``verify._jacobian_inverse`` does).
+    classical adjugate still valid.  A matrix over ArrFrac raises
+    TypeError; its two callers, J(f)^{-1} (``derivations.jf_inverse``) and
+    (B^(k))^{-1} (``derivations.step_matrix``), invert polynomial matrices.
     """
     if not matrix.is_square():
         raise ValueError("determinant of a non-square matrix")

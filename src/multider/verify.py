@@ -38,11 +38,12 @@ The checks, by name as used in reports and on the command line:
                 (m even) or k*h + m_j (m odd).
 * det-jdkx      det J(D^k x) * Q^(2k) is a nonzero rational constant:
                 det Gram divided by the certified constant of P_{2k}.
-* jdg           matrix identities relating J(D g), J(D x) and D applied
-                entrywise, for g in {x, f, D x}.  i, J(Dg) = J(Dx) J(g) +
-                D[J(g)], is compared as it stands; for g = D^k x it reads
-                the memoised J(D^(k+1) x), and for g = x, J(D x) on the
-                right is the Jacobian of the certified primitive
+* jdg           ten records of matrix identities relating J(D g), J(D x)
+                and D applied entrywise, for g in {x, f, D x}, and iii,
+                D[J(f)] = -J(D x) J(f).  i, J(Dg) = J(Dx) J(g) + D[J(g)],
+                is compared as it stands; for g = D^k x it reads the
+                memoised J(D^(k+1) x), and for g = x (and in iii), J(D x)
+                on the right is the Jacobian of the certified primitive
                 derivation.  ii, D[J(g)^{-1}] = -J(g)^{-1} D[J(g)]
                 J(g)^{-1}, is D applied to J(g)^{-1} J(g) = I, so the
                 record is that product; for g = D^k x it reads the
@@ -62,7 +63,10 @@ The checks, by name as used in reports and on the command line:
                 P_{2j}, run again only when one of its inputs changed.
 * equivariance  g[J(D^k x)] = rho^-1 J(D^k x) rho, g[J(f)] = rho^-1 J(f),
                 and g[P_m] = rho^T P_m for odd m, for every stored
-                generator.
+                generator.  The first is compared over polynomials as
+                g[P_{2k}] = rho^T P_{2k} rho, its equivalent given C(k) and
+                rho^T Gram rho = Gram (proof in ``verify_equivariance``);
+                C(k) is read as for b-properties.
 * recursion     the inductive P_m matches the direct formula: C(j) for
                 j <= m // 2, certified and recorded as for b-properties
                 (odd m follows, as P_{2k+1} = P_{2k} J(f)).
@@ -100,8 +104,6 @@ from .exactpoly import (
     ArrFrac,
     Matrix,
     det_at,
-    expand_factor_powers,
-    mat_det_adj,
     pairs_equal,
     rat_mat_inv,
     sum_pairs,
@@ -252,57 +254,46 @@ def _negated(grid: list[list[tuple]]) -> list[list[tuple]]:
     return [[(-num, den) for num, den in row] for row in grid]
 
 
-def _jacobians(system: CoxeterSystem, g_key, dx):
-    """J(g), J(Dg), and k when g = D^k x (None otherwise).
-
-    For g = D^k x both Jacobians are the memoised J(D^k x) and J(D^(k+1) x)
-    of ``derivations.jdkx``, the objects the pipeline itself uses; for
-    g = f or a custom g they are computed here.
-    """
-    if isinstance(g_key, (list, tuple)) or g_key == "f":
-        gs = system.invariants if g_key == "f" else g_key
-        return jacobian(gs), jacobian([apply_derivation(g, dx) for g in gs]), None
-    if g_key == "x":
-        k = 0
-    elif g_key == "dx":
-        k = 1
-    elif g_key.startswith("d") and g_key.endswith("x"):
-        k = int(g_key[1:-1])
-    else:
-        raise ValueError(f"unknown g selector: {g_key!r}")
-    return jdkx(system, k), jdkx(system, k + 1), k
+def _chain_rule_rhs(rank: int, jdx: Matrix, jg: Matrix, d_jg) -> list[list[tuple]]:
+    """J(Dx) J(g) + D[J(g)] for identity i, unreduced; d_jg is pairs."""
+    return [[sum_pairs(rank, [pair, d]) for pair, d in zip(row, d_row)]
+            for row, d_row in zip(jdx.product_pairs(jg), d_jg)]
 
 
-def _jacobian_inverse(system: CoxeterSystem, g_key, jg: Matrix, k: int | None):
-    """J(g)^{-1}, or None when J(g) is singular.  For g = D^k x it is
-    Gram^{-1} P_{2k} by C(k); for g = f the memoised ``jf_inverse``,
-    reduced.  Identity ii multiplies it by J(g)."""
-    if k is not None:
-        return jdkx_inverse(system, k)
-    if g_key == "f":
-        return Matrix([[ArrFrac(*pair) for pair in row] for row in jf_inverse(system)])
-    # J(g) = N / d over the common denominator d, so J(g)^{-1} = d adj N / det N
-    den: dict = {}
-    for i in range(jg.rows):
-        for j in range(jg.cols):
-            for f, e in jg[i][j].den.items():
-                den[f] = max(den.get(f, 0), e)
-    d = ArrFrac.from_poly(expand_factor_powers(system.rank, den))
-    det, adj = mat_det_adj(jg.map(lambda e: (e * d).as_poly()))
-    if not det:
-        return None
-    scale = d * ArrFrac.from_poly(det).inverse(system.factors)
-    return adj.map(lambda e: scale * e)
+def _jdkx_records(system: CoxeterSystem, k: int, jdx: Matrix) -> list[CheckRecord]:
+    """i, ii and iv at g = D^k x, k in {0, 1}; i reads jdx as J(D x)."""
+    tag = ("jdg(x)", "jdg(dx)")[k]
+    jg = jdkx(system, k)
+
+    t0 = time.perf_counter()
+    dx = primitive_dx(system)
+    d_jg = _pairs(jg.map(lambda e: apply_derivation(e, dx)))
+    rhs = _chain_rule_rhs(system.rank, jdx, jg, d_jg)
+    records = [_finish(_eq_record(f"{tag}.i", _pairs(jdkx(system, k + 1)), rhs), t0)]
+
+    t0 = time.perf_counter()
+    product = jdkx_inverse(system, k).product_pairs(jg)
+    one = _pairs(Matrix.identity(system.rank, system.rank))
+    records.append(_finish(_eq_record(f"{tag}.ii", product, one), t0))
+
+    t0 = time.perf_counter()
+    witness = _direct_formula_witness(system, k + 1)
+    records.append(_finish(_certified_record(f"{tag}.iv", witness, {}), t0))
+    return records
 
 
-def verify_jdg_identities(system: CoxeterSystem, g_key: str = "x",
-                          include_f_identity: bool = True) -> list[CheckRecord]:
-    """Check J(Dg) = J(Dx) J(g) + D[J(g)] (i) and its inverse-form
-    companions D[J(g)^{-1}] = -J(g)^{-1} D[J(g)] J(g)^{-1} (ii) and
-    D[J(g)^{-1} J(f)] = -J(g)^{-1} J(Dg) J(g)^{-1} J(f) (iv).
+def verify_jdg_identities(system: CoxeterSystem) -> list[CheckRecord]:
+    """The ten records jdg(x).i/ii/iv, jdg.iii, jdg(f).i/ii/iv and
+    jdg(dx).i/ii/iv: J(Dg) = J(Dx) J(g) + D[J(g)] (i), D[J(g)^{-1}] =
+    -J(g)^{-1} D[J(g)] J(g)^{-1} (ii) and D[J(g)^{-1} J(f)] = -J(g)^{-1}
+    J(Dg) J(g)^{-1} J(f) (iv) for g in {x, f, D x}, and D[J(f)] = -J(Dx)
+    J(f) (iii).  No J(g) is singular: J(x) = I, det J(f) = c Q is certified
+    with the catalog entry, and J(D x)^{-1} = Gram^{-1} P_2 by C(1).
 
-    i is compared as it stands; for g = D^k x it reads the memoised
-    J(D^(k+1) x) of ``derivations.jdkx``.
+    i is compared as it stands; at g = D^k x its left side is the memoised
+    J(D^(k+1) x).  J(D x) on its right is the Jacobian of the certified
+    primitive derivation at g = x, as in iii, and the memoised one
+    otherwise.  D[J(f)] is formed once, for iii and i at g = f.
 
     ii is D applied to J(g)^{-1} J(g) = I (D is a derivation, so
     D[Y^{-1}] Y + Y^{-1} D[Y] = 0), so the record is that product, compared
@@ -317,47 +308,35 @@ def verify_jdg_identities(system: CoxeterSystem, g_key: str = "x",
     D[P_{2k+1}] C_{2k+2} = -P_{2k} Z Gram^{-1} P_{2k+2}, and with C(k + 1)
     that is D[P_{2k+1}] C_{2k+2} = -P_{2k}, the identity that certifies
     C(k + 1) from C(k) (``derivations.certify_direct_formula``).  The record
-    reads the recorded certificates of C(1), ..., C(k + 1).  For g = f or a
-    custom g, iv is compared as it stands.
+    reads the recorded certificates of C(1), ..., C(k + 1).  For g = f, iv
+    is compared as it stands.
     """
-    records: list[CheckRecord] = []
     dx = primitive_dx(system)
-    jg, jdg, level = _jacobians(system, g_key, dx)
-    # for g = x identity i reads J(Dx) = J(Dx), so one side is built from
-    # the certified primitive derivation instead of the memo
-    jdx = jacobian(dx) if level == 0 else jdkx(system, 1)
-    tag = f"jdg({g_key})" if isinstance(g_key, str) else "jdg(custom)"
+    fresh_jdx = jacobian(dx)
+    records = _jdkx_records(system, 0, fresh_jdx)
 
     t0 = time.perf_counter()
-    d_jg = jg.map(lambda e: apply_derivation(e, dx))
-    rhs = [[sum_pairs(system.rank, [pair, d]) for pair, d in zip(row, d_row)]
-           for row, d_row in zip(jdx.product_pairs(jg), _pairs(d_jg))]
-    records.append(_finish(_eq_record(f"{tag}.i", _pairs(jdg), rhs), t0))
+    jf = system.jacobian_of_invariants()
+    d_jf = _d_pairs(jf, dx)
+    rhs = _negated(fresh_jdx.product_pairs(jf))
+    records.append(_finish(_eq_record("jdg.iii", d_jf, rhs), t0))
 
     t0 = time.perf_counter()
-    inv = _jacobian_inverse(system, g_key, jg, level)
-    if inv is None:
-        records.append(_finish(CheckRecord(f"{tag}.ii", "skipped", {"reason": "J(g) singular"}), t0))
-        records.append(CheckRecord(f"{tag}.iv", "skipped", {"reason": "J(g) singular"}))
-    else:
-        one = Matrix.identity(system.rank, system.rank)
-        records.append(_finish(_eq_record(f"{tag}.ii", inv.product_pairs(jg), _pairs(one)), t0))
+    jdf = jacobian([apply_derivation(f, dx) for f in system.invariants])
+    rhs = _chain_rule_rhs(system.rank, jdkx(system, 1), jf, d_jf)
+    records.append(_finish(_eq_record("jdg(f).i", _pairs(jdf), rhs), t0))
 
-        t0 = time.perf_counter()
-        if level is None:
-            inv_jf = inv @ system.jacobian_of_invariants()
-            rhs = _negated((inv @ jdg).product_pairs(inv_jf))
-            rec = _eq_record(f"{tag}.iv", _d_pairs(inv_jf, dx), rhs)
-        else:
-            rec = _certified_record(f"{tag}.iv", _direct_formula_witness(system, level + 1), {})
-        records.append(_finish(rec, t0))
+    t0 = time.perf_counter()
+    inv = Matrix([[ArrFrac(*pair) for pair in row] for row in jf_inverse(system)])
+    one = _pairs(Matrix.identity(system.rank, system.rank))
+    records.append(_finish(_eq_record("jdg(f).ii", inv.product_pairs(jf), one), t0))
 
-    if include_f_identity:
-        t0 = time.perf_counter()
-        jf = system.jacobian_of_invariants()
-        rhs = _negated(jdx.product_pairs(jf))
-        records.append(_finish(_eq_record("jdg.iii", _d_pairs(jf, dx), rhs), t0))
-    return records
+    t0 = time.perf_counter()
+    inv_jf = inv @ jf
+    rhs = _negated((inv @ jdf).product_pairs(inv_jf))
+    records.append(_finish(_eq_record("jdg(f).iv", _d_pairs(inv_jf, dx), rhs), t0))
+
+    return records + _jdkx_records(system, 1, jdkx(system, 1))
 
 
 def _eq_record(name: str, lhs: list[list[tuple]], rhs: list[list[tuple]]) -> CheckRecord:
@@ -515,32 +494,44 @@ def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
 
 
 def verify_equivariance(system: CoxeterSystem, k: int, m: int) -> list[CheckRecord]:
-    """Generator action on J(D^k x), J(f) and on P_m (odd m)."""
+    """Generator action on J(D^k x), J(f) and on P_m (odd m).
+
+    C(k) gives J(D^k x) = P_{2k}^{-1} Gram, and substitution is a ring
+    automorphism, so g[J(D^k x)] = rho^-1 J(D^k x) rho reads g[P_{2k}] =
+    Gram rho^-1 Gram^-1 P_{2k} rho.  Every stored generator satisfies
+    rho^T Gram rho = Gram (checked with the catalog entry), so that is
+    g[P_{2k}] = rho^T P_{2k} rho, compared over polynomials.  C(k) is read
+    from the recorded certificates (``_direct_formula_witness``); the
+    records fail with its reason when it fails.
+    """
     records: list[CheckRecord] = []
     ell = system.rank
-    jk = jdkx(system, k)
+    witness = _direct_formula_witness(system, k)
+    p_even = p_matrix(system, 2 * k).matrix if witness is None else None
     jf = system.jacobian_of_invariants()
     basis = p_matrix(system, m) if m % 2 == 1 else None
     for gi, g in enumerate(system.generators):
-        rho = Matrix.from_rational(g, ell, frac=True)
-        rho_inv = Matrix.from_rational(rat_mat_inv(g), ell, frac=True)
+        rho = Matrix.from_rational(g, ell)
+        rho_t = rho.transpose()
 
         t0 = time.perf_counter()
-        lhs = jk.map(lambda e: e.substitute_linear(g))
-        rhs = (rho_inv @ jk).product_pairs(rho)
-        records.append(_finish(_eq_record(f"equivariance.g{gi + 1}.jdkx", _pairs(lhs), rhs), t0))
-        records[-1].detail["k"] = k
+        name = f"equivariance.g{gi + 1}.jdkx"
+        if witness is None:
+            lhs = p_even.map(lambda e: e.substitute_linear(g))
+            rec = _eq_record(name, _pairs(lhs), _pairs(rho_t @ p_even @ rho))
+            rec.detail["k"] = k
+        else:
+            rec = CheckRecord(name, "fail", {"k": k}, witness)
+        records.append(_finish(rec, t0))
 
         t0 = time.perf_counter()
         lhs = jf.map(lambda e: e.substitute_linear(g))
+        rho_inv = Matrix.from_rational(rat_mat_inv(g), ell, frac=True)
         rhs = rho_inv @ jf
         records.append(_finish(_eq_record(f"equivariance.g{gi + 1}.jf", _pairs(lhs), _pairs(rhs)), t0))
 
         if basis is not None:
             t0 = time.perf_counter()
-            rho_t = Matrix.from_rational(
-                tuple(tuple(g[a][b] for a in range(ell)) for b in range(ell)), ell
-            )
             lhs = basis.matrix.map(lambda e: e.substitute_linear(g))
             rhs = rho_t @ basis.matrix
             records.append(
@@ -615,10 +606,7 @@ def run_verification(system: CoxeterSystem, m: int,
     if "det-jdkx" in wanted:
         report.checks.append(verify_det_jdkx(system, k))
     if "jdg" in wanted:
-        for i, g_key in enumerate(("x", "f", "dx")):
-            report.checks.extend(
-                verify_jdg_identities(system, g_key, include_f_identity=(i == 0))
-            )
+        report.checks.extend(verify_jdg_identities(system))
     if "b-properties" in wanted:
         report.checks.extend(verify_b_properties(system, max(1, k)))
     if "equivariance" in wanted:

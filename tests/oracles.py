@@ -11,6 +11,10 @@ and iv with both sides formed and compared: D applied to J(g)^{-1} (and to
 J(g)^{-1} J(f)) against the product on the right.  The package checks ii as
 the product J(g)^{-1} J(g) = I and iv at g = D^k x as the certificate of
 C(k + 1); the tests compare the statuses.
+
+``equivariance_jdkx_in_full`` is g[J(D^k x)] = rho^-1 J(D^k x) rho on the
+memoised J(D^k x), which the package checks as g[P_{2k}] = rho^T P_{2k}
+rho given C(k).
 """
 
 import dataclasses
@@ -26,7 +30,7 @@ from multider.derivations import (
     jf_inverse,
     primitive_dx,
 )
-from multider.exactpoly import ArrFrac, Matrix, mat_det_adj
+from multider.exactpoly import ArrFrac, Matrix, mat_det_adj, rat_mat_inv
 
 
 @functools.cache
@@ -108,6 +112,15 @@ def jdg_iv_in_full(system, g_key: str) -> str:
         return bool(det) and lhs.map(lambda e: e * det) == -(inv @ adj @ inv_jf)
 
     return _status(holds)
+
+
+def equivariance_jdkx_in_full(system, k: int, g) -> bool:
+    """g[J(D^k x)] = rho^-1 J(D^k x) rho for the stored generator g."""
+    ell = system.rank
+    jk = jdkx(system, k)
+    rho = Matrix.from_rational(g, ell, frac=True)
+    rho_inv = Matrix.from_rational(rat_mat_inv(g), ell, frac=True)
+    return jk.map(lambda e: e.substitute_linear(g)) == rho_inv @ jk @ rho
 
 
 def doubled_entry(mat: Matrix) -> Matrix:

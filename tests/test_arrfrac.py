@@ -10,7 +10,6 @@ from multider.exactpoly import (
     ArrFrac,
     Matrix,
     Poly,
-    UnsupportedDenominator,
     canonical_factor,
     divide_exact,
     expand_factor_powers,
@@ -86,30 +85,6 @@ def test_degree_bookkeeping():
     den = b2_factors()
     a = ArrFrac(x2**3, den)
     assert a.degree() == 3 - 4
-
-
-def test_division_by_arrangement_factor_product():
-    den = b2_factors()
-    a = ArrFrac(x1 * x2, {})
-    b = ArrFrac(x1 * x2 * (x1 + x2), {})
-    r = a * b.inverse(den)
-    assert r.num.is_constant()
-    assert sum(r.den.values()) == 1
-
-
-def test_unsupported_denominator_witness():
-    irreducible = x1**2 + x2**2
-    with pytest.raises(UnsupportedDenominator) as exc:
-        ArrFrac.from_poly(x1) * ArrFrac.from_poly(irreducible).inverse()
-    assert exc.value.residual == irreducible
-
-
-def test_inverse_of_constant_numerator():
-    den = b2_factors()
-    a = ArrFrac(Poly.const(2, Fraction(-3)), {f: 2 for f in den})
-    inv = a.inverse()
-    assert inv.is_polynomial()
-    assert (a * inv).num == Poly.const(2, 1)
 
 
 def test_substitute_linear_on_fraction():

@@ -9,7 +9,7 @@ from oracles import PERTURBATIONS
 
 from multider import cli, derivations, golden, verify
 from multider.cli import main
-from multider.exactpoly import Matrix, Poly, UnsupportedDenominator, poly_from_records
+from multider.exactpoly import Matrix, poly_from_records
 from multider.derivations import PipelineError, clear_caches, p_matrix
 from multider.coxeter import get_system
 
@@ -122,10 +122,7 @@ def test_verify_unknown_check(capsys):
     assert code == 2 and "unknown checks" in err and "limit" not in err
 
 
-@pytest.mark.parametrize("fault", [
-    PipelineError("injected fault"),
-    UnsupportedDenominator(Poly.variable(2, 0) + 1),
-])
+@pytest.mark.parametrize("fault", [PipelineError("injected fault")])
 def test_verify_internal_error_exits_1(capsys, monkeypatch, fault):
     def broken(*args, **kwargs):
         raise fault
@@ -201,6 +198,23 @@ def test_basis_and_bmatrix_form_no_dkx_at_any_k(capsys, monkeypatch):
         code, _, err = run_cli(argv, capsys)
         assert (code, err) == (0, ""), argv
         assert argv[1] in derivations._dx_cache, argv
+
+
+def test_verify_forms_dkx_only_to_k_2(capsys, monkeypatch):
+    # jdg reads J(D x) and J(D^2 x), and equivariance compares P_{2k} under
+    # each generator, so verify at m 8 forms no D^k x with k >= 3
+    real = derivations.iterate_dkx
+    levels = set()
+
+    def recorded(system, k):
+        levels.add(k)
+        return real(system, k)
+
+    clear_caches()
+    monkeypatch.setattr(derivations, "iterate_dkx", recorded)
+    code, _, err = run_cli(["verify", "B3", "--m", "8", "--checks", "all"], capsys)
+    assert (code, err) == (0, "")
+    assert levels == {0, 1, 2}
 
 
 @pytest.mark.parametrize("doctor", ["negated", "doubled"])

@@ -6,17 +6,18 @@ from dataclasses import replace
 import pytest
 from oracles import (
     PERTURBATIONS,
-    doubled_entry,
+    equivariance_jdkx_in_full,
     jdg_ii_in_full,
     jdg_iv_in_full,
     perturb_jdkx_memo,
     perturb_jf_inverse_memo,
+    perturb_p_memo,
 )
 
 from multider import cli, derivations, verify
 from multider.coxeter import get_system
 from multider.derivations import DerivationBasis, clear_caches, p_matrix
-from multider.exactpoly import ArrFrac, Matrix, Poly, is_constant_multiple, mat_det_adj, rat_det
+from multider.exactpoly import Matrix, Poly, is_constant_multiple, mat_det_adj, rat_det
 from multider.verify import (
     run_verification,
     verify_b_properties,
@@ -169,8 +170,8 @@ def test_det_jdkx_reuses_the_ziegler_determinant(monkeypatch, key):
         return wrapper
 
     monkeypatch.setattr(derivations, "certify", counting("certify", derivations.certify))
-    for module in (derivations, verify):
-        monkeypatch.setattr(module, "mat_det_adj", counting("det", module.mat_det_adj))
+    # derivations is the one module that binds mat_det_adj
+    monkeypatch.setattr(derivations, "mat_det_adj", counting("det", derivations.mat_det_adj))
     report = run_verification(s, 4, ("ziegler", "det-jdkx"))
     assert report.passed
     assert report.checks[0].detail["constant"] == str(oracle)
@@ -180,40 +181,19 @@ def test_det_jdkx_reuses_the_ziegler_determinant(monkeypatch, key):
 
 def test_jdg_identities_trivial_g_x():
     s = get_system("B2")
-    recs = verify_jdg_identities(s, "x")
+    recs = verify_jdg_identities(s)
+    assert [r.name for r in recs] == [
+        "jdg(x).i", "jdg(x).ii", "jdg(x).iv", "jdg.iii", "jdg(f).i", "jdg(f).ii",
+        "jdg(f).iv", "jdg(dx).i", "jdg(dx).ii", "jdg(dx).iv",
+    ]
     assert all(r.status == "pass" for r in recs)
-    names = {r.name for r in recs}
-    assert "jdg(x).i" in names and "jdg.iii" in names
 
 
 @pytest.mark.parametrize("g", ["f", "dx"])
 def test_jdg_identities_b2(g):
     s = get_system("B2")
-    recs = verify_jdg_identities(s, g, include_f_identity=False)
-    assert all(r.status == "pass" for r in recs)
-
-
-def test_jdg_singular_jacobian_skips_inverse_identities():
-    s = get_system("B2")
-    x1 = Poly.variable(2, 0)
-    recs = verify_jdg_identities(s, [x1, x1], include_f_identity=False)
-    status = {r.name: r.status for r in recs}
-    assert status["jdg(custom).i"] == "pass"  # holds for any g
-    assert status["jdg(custom).ii"] == "skipped"
-    assert status["jdg(custom).iv"] == "skipped"
-
-
-def test_jdg_identities_custom_g_with_denominator():
-    # J(g) has a denominator x1^2: its inverse is taken over the cleared
-    # numerator and the denominator reattached
-    s = get_system("B2")
-    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    x1_factor = next(f for f in s.factors if f == x1)
-    g = [x1, ArrFrac(x2 ** 3, {x1_factor: 1})]
-    recs = verify_jdg_identities(s, g, include_f_identity=False)
-    assert {r.name: r.status for r in recs} == {
-        "jdg(custom).i": "pass", "jdg(custom).ii": "pass", "jdg(custom).iv": "pass",
-    }
+    recs = [r for r in verify_jdg_identities(s) if r.name.startswith(f"jdg({g})")]
+    assert [r.status for r in recs] == ["pass"] * 3
 
 
 @pytest.mark.parametrize("g, k", [("x", 1), ("dx", 2)])
@@ -222,7 +202,7 @@ def test_jdg_checks_the_memoised_jacobians(monkeypatch, g, k):
     # and a wrong memo entry must break identity i, not pass through it
     s = get_system("B2")
     perturb_jdkx_memo(monkeypatch, s, k)
-    recs = {r.name: r for r in verify_jdg_identities(s, g, include_f_identity=False)}
+    recs = {r.name: r for r in verify_jdg_identities(s)}
     assert recs[f"jdg({g}).i"].status == "fail"
     assert recs[f"jdg({g}).i"].witness["entry"] == [1, 1]
 
@@ -232,7 +212,7 @@ def test_jdg_witnesses_are_the_reduced_entries(monkeypatch):
     # side only for its witness, which keeps these bytes
     s = get_system("B2")
     perturb_jdkx_memo(monkeypatch, s, 2)
-    recs = {r.name: r.to_dict() for r in verify_jdg_identities(s, "dx", include_f_identity=False)}
+    recs = {r.name: r.to_dict() for r in verify_jdg_identities(s)}
     assert recs["jdg(dx).i"] == {
         "name": "jdg(dx).i", "status": "fail", "detail": {},
         "witness": {
@@ -255,7 +235,7 @@ def test_jdg_ii_fails_on_a_perturbed_jacobian(monkeypatch):
     s = get_system("B2")
     p_matrix(s, 2)
     perturb_jdkx_memo(monkeypatch, s, 1)
-    recs = {r.name: r for r in verify_jdg_identities(s, "dx", include_f_identity=False)}
+    recs = {r.name: r for r in verify_jdg_identities(s)}
     assert recs["jdg(dx).ii"].status == "fail"
     assert recs["jdg(dx).ii"].witness["entry"] == [1, 1]
     assert recs["jdg(dx).ii"].witness["lhs"] == (
@@ -285,8 +265,7 @@ def jdg_under_fault(monkeypatch):
         derivations.jdkx(s, 1)
         if fault is not None:
             _JDG_FAULTS[fault](monkeypatch, s)
-        return s, {r.name: r for g in ("x", "f", "dx")
-                   for r in verify_jdg_identities(s, g, include_f_identity=(g == "x"))}
+        return s, {r.name: r for r in verify_jdg_identities(s)}
 
     yield run
     clear_caches()
@@ -329,15 +308,11 @@ def test_jdg_ii_iv_agree_with_the_identities_in_full(jdg_under_fault, key, fault
         assert recs[f"jdg({g}).iv"].status == jdg_iv_in_full(s, g), g
 
 
-def test_jdg_iii_fails_on_a_perturbed_primitive_derivation(monkeypatch):
+def test_jdg_iii_fails_on_a_perturbed_primitive_derivation(jdg_under_fault):
     # negative control: D[J(f)] = -J(D x) J(f) holds only because D f is
-    # constant; doubling D x_1 breaks it.  J(D x) is memoised first, so no
-    # cache is built from the perturbed D.
-    s = get_system("B2")
-    derivations.jdkx(s, 1)
-    dx = derivations.primitive_dx(s)
-    monkeypatch.setitem(derivations._dx_cache, s.key, (dx[0] * 2,) + dx[1:])
-    recs = {r.name: r for r in verify_jdg_identities(s, "x")}
+    # constant; doubling D x_1 breaks it.  J(D x) is memoised first, and the
+    # caches built from the perturbed D are cleared after the test.
+    _, recs = jdg_under_fault("B2", "dx")
     assert recs["jdg.iii"].status == "fail"
     assert recs["jdg.iii"].witness == {
         "entry": [1, 1],
@@ -347,18 +322,45 @@ def test_jdg_iii_fails_on_a_perturbed_primitive_derivation(monkeypatch):
 
 
 def test_equivariance_jdkx_fails_on_a_perturbed_jacobian(monkeypatch):
-    # negative control: doubling entry (1,1) of J(D x) survives the sign
-    # change g1 of B2 but not the generator g2 that mixes the coordinates
+    # negative control: the records read J(D x) = P_2^{-1} Gram through the
+    # certificate of C(1), which a doubled entry (1,1) of the memoised P_2
+    # fails for every generator
     s = get_system("B2")
-    perturb_jdkx_memo(monkeypatch, s, 1)
+    perturb_p_memo(monkeypatch, s, 2)
+    recs = {r.name: r for r in verify_equivariance(s, 1, 2)}
+    for name in ("equivariance.g1.jdkx", "equivariance.g2.jdkx"):
+        assert recs[name].status == "fail"
+        assert recs[name].detail == {"k": 1}
+    assert recs["equivariance.g2.jdkx"].witness == {
+        "reason": "B2: entry (1,1) of P_2 is -2/3*x1^4 + 2*x1^2*x2^2, "
+                  "expected P_1 C_2 = -1/3*x1^4 + x1^2*x2^2",
+    }
+
+
+@pytest.mark.parametrize("key", ["B2", "A3", "B3", "D3", "I2(5)"])
+def test_equivariance_jdkx_agrees_with_the_identity_in_full(key):
+    # oracle: g[J(D^k x)] = rho^-1 J(D^k x) rho, formed on the memoised
+    # J(D^k x), holds wherever the record on P_{2k} passes
+    s = get_system(key)
+    for k in (1, 2):
+        recs = [r for r in verify_equivariance(s, k, 2 * k) if r.name.endswith(".jdkx")]
+        assert [r.status for r in recs] == ["pass"] * len(s.generators), k
+        assert all(equivariance_jdkx_in_full(s, k, g) for g in s.generators), k
+
+
+def test_equivariance_jdkx_compares_p_even_under_each_generator(monkeypatch):
+    # negative control of the comparison g[P_2] = rho^T P_2 rho alone, with
+    # C(1) taken as given: the doubled entry (1,1) survives the sign change
+    # g1 of B2 but not the generator g2 that mixes the coordinates
+    s = get_system("B2")
+    perturb_p_memo(monkeypatch, s, 2)
+    monkeypatch.setattr(verify, "_direct_formula_witness", lambda system, k: None)
     recs = {r.name: r for r in verify_equivariance(s, 1, 2)}
     assert recs["equivariance.g1.jdkx"].status == "pass"
     assert recs["equivariance.g2.jdkx"].status == "fail"
     assert recs["equivariance.g2.jdkx"].detail == {"k": 1}
     assert recs["equivariance.g2.jdkx"].witness == {
-        "entry": [1, 1],
-        "lhs": "(2*x1^2 - 6*x2^2) / [(x1 + x2)^2 * (x1 - x2)^2 * (x2)^2]",
-        "rhs": "(x1^2 - 3*x2^2) / [(x1 + x2)^2 * (x1 - x2)^2 * (x2)^2]",
+        "entry": [1, 1], "lhs": "2*x1^2*x2^2 - 2/3*x2^4", "rhs": "x1^2*x2^2 - 1/3*x2^4",
     }
 
 
