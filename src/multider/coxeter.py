@@ -23,8 +23,8 @@ at construction time rather than trusted:
 * Q is anti-invariant under each generator (tested factor by factor);
 * det J(f) is a nonzero constant multiple of Q (the constant is stored),
   by Saito's criterion on P_1 = Gram J(f) (``saito``): its columns are in
-  D(A) (by exact division along every factor), their degrees m_j sum to
-  |A|, and det J(f) is nonzero at one point.
+  D(A) (by an exact divisibility test along every factor), their degrees
+  m_j sum to |A|, and det J(f) is nonzero at one point.
 
 Conventions worth knowing when comparing output against other sources:
 hyperplane forms are normalised so the first nonzero coefficient is +1,

@@ -44,7 +44,9 @@ Exact division runs a division plan, built once per divisor and kept in a
 bounded cache: its content and the kernel for its primitive part (monomial,
 linear form or general heap).  ``strip_factor`` divides by one factor as
 often as it can, up to a limit, on the integer terms and canonicalises once;
-every reduction and membership test runs through it.
+every reduction runs through it.  ``power_divides`` decides whether
+alpha^m divides a polynomial, alpha linear, from a plan per divisor by its
+width, and forms no quotient: the membership test of ``saito`` runs on it.
 ``ArrFrac.gradient_pairs`` forms all l partial derivatives by one quotient rule.
 
 All values are immutable after construction; all operations are pure.
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -64,6 +67,7 @@ __all__ = [
     "Matrix",
     "divide_exact",
     "strip_factor",
+    "power_divides",
     "is_constant_multiple",
     "canonical_factor",
     "expand_factor_powers",
@@ -390,29 +394,40 @@ class Poly:
         return self._evaluate(images)
 
     def _evaluate(self, images: Sequence["Poly"]) -> "Poly":
-        """sum_k c_k prod_j images[j]^e_kj, on the integer numerators of self."""
+        """sum_k c_k prod_j images[j]^e_kj, on the integer numerators of self
+        and of the images: every term is summed into one dict over the
+        common denominator prod_j d_j^E_j (d_j the denominator of images[j],
+        E_j the top exponent of x_j), canonicalised once."""
         n = self.nvars
         m = images[0].nvars
         shifts, _, _ = _layout(n)
+        tops = [max((k >> s) & _MASK for k in self._t) for s in shifts]
+        dens = [img._d for img in images]
         power_cache: list[dict[int, Poly]] = [dict() for _ in range(n)]
 
         def img_power(j: int, e: int) -> Poly:
             cache = power_cache[j]
             got = cache.get(e)
             if got is None:
-                got = images[j] ** e
+                got = Poly._raw(m, images[j]._t, 1) ** e
                 cache[e] = got
             return got
 
-        acc = Poly.zero(m)
-        for k, c in sorted(self._t.items(), reverse=True):
-            term = Poly._raw(m, {0: c}, 1)
+        one = Poly._raw(m, {0: 1}, 1)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k, c in self._t.items():
+            term = one
             for j in range(n):
                 e = (k >> shifts[j]) & _MASK
+                if e < tops[j]:
+                    c *= dens[j] ** (tops[j] - e)
                 if e:
                     term = term * img_power(j, e)
-            acc = acc + term
-        return _canon(m, acc._t, acc._d * self._d)
+            for kt, ct in term._t.items():
+                acc[kt] = get(kt, 0) + c * ct
+        den = self._d * math.prod(d**e for d, e in zip(dens, tops))
+        return _canon(m, {k: v for k, v in acc.items() if v}, den)
 
     # -- rendering ------------------------------------------------------------
 
@@ -644,6 +659,96 @@ def _division_plan(div: Poly):
     return g, div._d, kernel
 
 
+def power_divides(num: Poly, div: Poly, m: int) -> bool:
+    """Whether div^m divides num, for a homogeneous linear form div.
+
+    Constants are units, so this asks whether P^m divides the integer
+    numerator N of num, P the primitive part of div; no quotient is brought
+    to canonical form.  The test is planned once per divisor by its shape:
+
+    * P = +-x_a: every term of N has an x_a exponent of at least m.
+    * P = x_a -+ x_b: group the terms of N by their key with the x_a and
+      x_b fields cleared, the total degree kept.  A group is a binary form
+      g = sum c_i x_a^i x_b^(d-i) times one monomial x'^mu in the other
+      variables, and P^m | N exactly when P^m | g for every group: N is
+      uniquely sum_mu x'^mu G_mu with G_mu in Q[x_a, x_b], a quotient
+      N / P^m splits the same way as P lies in Q[x_a, x_b], and P is
+      homogeneous, so P^m | G_mu iff P^m divides each homogeneous part.
+      As the coefficient of x_a is not 0, P^m | g iff (t -+ 1)^m | g(t, 1):
+      dehomogenising keeps a quotient, and a quotient r of g(t, 1) has
+      degree <= d - m, so x_b^(d-m) r(x_a / x_b) is its homogenisation.
+      The factor t^lo of g(t, 1) is prime to t -+ 1 and is dropped, and
+      t + 1 becomes t - 1 at -t.  Each of the m synthetic divisions by
+      t - 1 of the integer coefficient list is a running sum whose last
+      entry, the remainder, must vanish.
+    * Any other P, such as 2 x_i + sum_{j != i} x_j: N is split into x_a
+      levels once, and the m divisions run on the level form
+      (``_linear_step``, the step of ``_divide_linear``); by Gauss's lemma
+      every quotient is integral, so a coefficient that c_a does not
+      divide ends the test.
+    """
+    if num.nvars != div.nvars:
+        raise ValueError("variable count mismatch in division")
+    test = _power_plan(div)
+    return not num._t or m <= 0 or test(num._t, m)
+
+
+@functools.lru_cache(maxsize=256)
+def _power_plan(div: Poly):
+    """The test of ``power_divides`` for div, as a function of the integer
+    terms of a nonzero numerator and m."""
+    shifts, deg_shift, _ = _layout(div.nvars)
+    if not div._t or any(k >> deg_shift != 1 for k in div._t):
+        raise ValueError(f"power_divides needs a homogeneous linear form, not {div}")
+    g = math.gcd(*div._t.values())
+    items = sorted(((k, v // g) for k, v in div._t.items()), reverse=True)
+    (ka, ca), rest = items[0], items[1:]
+    sa = next(s for s in shifts if (ka >> s) & _MASK)
+    if not rest:
+        return functools.partial(_power_monomial, sa)
+    if len(rest) == 1 and ca == 1 and rest[0][1] in (1, -1):
+        (kb, cb), = rest
+        sb = next(s for s in shifts if (kb >> s) & _MASK)
+        return functools.partial(_power_binary, sa, sb, cb == 1)
+    step = functools.partial(_linear_step, ka, ca, tuple((k - ka, -c) for k, c in rest))
+    return functools.partial(_power_levels, sa, step)
+
+
+def _power_monomial(sa, nt: dict[int, int], m: int) -> bool:
+    return all((k >> sa) & _MASK >= m for k in nt)
+
+
+def _power_levels(sa, step, nt: dict[int, int], m: int) -> bool:
+    levels = _split_levels(sa, nt)
+    if max(levels) < m:
+        return False
+    for _ in range(m):
+        levels = step(levels)
+        if levels is None:
+            return False
+    return True
+
+
+def _power_binary(sa, sb, flip, nt: dict[int, int], m: int) -> bool:
+    groups: dict[int, dict[int, int]] = {}
+    for k, v in nt.items():
+        i = (k >> sa) & _MASK
+        groups.setdefault(k - (i << sa) - (((k >> sb) & _MASK) << sb), {})[i] = v
+    for group in groups.values():
+        lo, hi = min(group), max(group)
+        if hi - lo < m:
+            return False
+        # g(t, 1) / t^lo, leading coefficient first
+        coeffs = [group.get(i, 0) for i in range(hi, lo - 1, -1)]
+        if flip:
+            coeffs[1::2] = [-c for c in coeffs[1::2]]
+        for _ in range(m):
+            coeffs = list(itertools.accumulate(coeffs))
+            if coeffs.pop():
+                return False
+    return True
+
+
 def _divide_monomial(guard, kd, sign, nt: dict[int, int]) -> dict[int, int] | None:
     q = {}
     for k, c in nt.items():
@@ -654,26 +759,50 @@ def _divide_monomial(guard, kd, sign, nt: dict[int, int]) -> dict[int, int] | No
 
 
 def _divide_linear(sa, one_a, c1, rest, nt: dict[int, int]) -> dict[int, int] | None:
-    """Synthetic division by a primitive homogeneous linear form.
+    """Synthetic division by a primitive homogeneous linear form: the
+    numerator split into x_a levels, one ``_linear_step``, and the
+    quotient levels merged back."""
+    levels = _linear_step(one_a, c1, rest, _split_levels(sa, nt))
+    if levels is None:
+        return None
+    quotient: dict[int, int] = {}
+    for level in levels.values():
+        quotient.update(level)
+    return quotient
+
+
+def _split_levels(sa, nt: dict[int, int]) -> dict[int, dict[int, int]]:
+    """The terms of nt by their exponent of x_a (field shift sa); a level
+    keeps the full keys of its terms."""
+    levels: dict[int, dict[int, int]] = {}
+    for k, v in nt.items():
+        levels.setdefault((k >> sa) & _MASK, {})[k] = v
+    return levels
+
+
+def _linear_step(
+    one_a, c1, rest, levels: dict[int, dict[int, int]]
+) -> dict[int, dict[int, int]] | None:
+    """One exact division of a numerator in level form by a primitive
+    homogeneous linear form, giving the quotient in level form.
 
     Writing the divisor as c_a x_a + S (x_a its graded-lex leading variable,
-    key one_a, field shift sa; rest holds (key - one_a, -c) per term of S)
-    and the numerator as sum x_a^i P_i, the quotient levels satisfy
+    key one_a; rest holds (key - one_a, -c) per term of S) and the numerator
+    as sum x_a^i P_i, the quotient levels satisfy
     Q_{i-1} = (P_i - S Q_i) / c_a descending from the top, with
     remainder P_0 - S Q_0 that must vanish identically.  Every level is
     integral when the division is exact, so a coefficient that c_a does
     not divide ends the search at once.  Cost is linear in the number of
     terms times the divisor width, and no heap is needed because every
-    generated key stays on its x_a level.
+    generated key stays on its x_a level.  The top level of the quotient
+    is P_d / c_a, so it is never empty.  The remainder is formed in
+    levels[0], which the caller no longer reads.
     """
-    levels: dict[int, dict[int, int]] = {}
-    for k, v in nt.items():
-        levels.setdefault((k >> sa) & _MASK, {})[k] = v
     d = max(levels)
     if d == 0:
         return None
 
-    quotient: dict[int, int] = {}
+    quotient: dict[int, dict[int, int]] = {}
     q_prev: dict[int, int] = {}
     for i in range(d - 1, -1, -1):
         cur = {k - one_a: v for k, v in levels.get(i + 1, {}).items()}
@@ -692,7 +821,7 @@ def _divide_linear(sa, one_a, c1, rest, nt: dict[int, int]) -> dict[int, int] | 
                 if r:
                     return None
                 cur[k] = qv
-        quotient.update(cur)
+        quotient[i] = cur
         q_prev = cur
 
     rem = levels.get(0, {})

@@ -4,7 +4,12 @@ The columns theta_1..theta_l of an l x l polynomial matrix P form a basis
 of D^(m)(A) (Ziegler 1989; Abe, Terao and Wakefield 2007) when
 
 * membership: every theta_j lies in D^(m)(A), exactly per hyperplane and
-  per irrational mirror line (``membership_failure``);
+  per irrational mirror line (``membership_failure``).  Along a
+  hyperplane alpha^m | theta_j(alpha) is decided by the width of alpha
+  (``exactpoly.power_divides``): an x_a exponent of at least m in every
+  term for alpha = x_a, (t -+ 1)^m | g(t, 1) for every binary form g in
+  x_a, x_b of theta_j(alpha) for alpha = x_a -+ x_b, and m divisions of
+  the x_a level form for any other alpha;
 * degrees: every column is homogeneous and sum deg theta_j = m |A|;
 * evaluation: det P(p) != 0 at one rational point p off every hyperplane.
 
@@ -23,7 +28,15 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactpoly import Matrix, Poly, binary_components, det_at, product_at, strip_factor
+from .exactpoly import (
+    Matrix,
+    Poly,
+    binary_components,
+    det_at,
+    power_divides,
+    product_at,
+    strip_factor,
+)
 
 __all__ = [
     "Certificate",
@@ -58,7 +71,9 @@ def membership_witness(factors, failure: tuple[int, int, int, str]) -> dict:
 
 
 def _line_test(alpha: Poly):
-    """alpha^m | theta(alpha) for the linear form alpha, by m exact divisions."""
+    """alpha^m | theta(alpha) for the linear form alpha, decided by
+    ``power_divides``; only a failure runs the m exact divisions
+    (``strip_factor``) that give its witness."""
     ell = alpha.nvars
     # a canonical factor has integer coefficients
     coeffs = [(i, int(c)) for i in range(ell)
@@ -69,8 +84,10 @@ def _line_test(alpha: Poly):
         for i, c in coeffs:
             if column[i]:
                 cur = cur + column[i] * c
+        if power_divides(cur, alpha, m):
+            return None
         cur, done = strip_factor(cur, alpha, m)
-        return None if done == m else (done, str(cur))
+        return done, str(cur)
 
     return failure
 

@@ -15,6 +15,10 @@ C(k + 1); the tests compare the statuses.
 ``equivariance_jdkx_in_full`` is g[J(D^k x)] = rho^-1 J(D^k x) rho on the
 memoised J(D^k x), which the package checks as g[P_{2k}] = rho^T P_{2k}
 rho given C(k).
+
+``membership_by_division`` is Saito's membership test with m exact
+divisions (``strip_factor``) per hyperplane and column, as it ran before
+``power_divides`` decided it; the tests compare the failure witnesses.
 """
 
 import dataclasses
@@ -30,7 +34,8 @@ from multider.derivations import (
     jf_inverse,
     primitive_dx,
 )
-from multider.exactpoly import ArrFrac, Matrix, mat_det_adj, rat_mat_inv
+from multider.exactpoly import ArrFrac, Matrix, Poly, mat_det_adj, rat_mat_inv, strip_factor
+from multider.saito import _orbit_test
 
 
 @functools.cache
@@ -121,6 +126,34 @@ def equivariance_jdkx_in_full(system, k: int, g) -> bool:
     rho = Matrix.from_rational(g, ell, frac=True)
     rho_inv = Matrix.from_rational(rat_mat_inv(g), ell, frac=True)
     return jk.map(lambda e: e.substitute_linear(g)) == rho_inv @ jk @ rho
+
+
+def membership_by_division(factors, matrix: Matrix, m: int):
+    """``saito.membership_failure`` with every hyperplane decided by m exact
+    divisions of theta(alpha) by alpha: None, or (factor index, column
+    index, divisions done, residual) of the first failure."""
+    if m == 0:
+        return None
+    columns = [[matrix[i][j] for i in range(matrix.rows)] for j in range(matrix.cols)]
+    for fi, q in enumerate(factors):
+        if q.degree() == 1:
+            ell = q.nvars
+            coeffs = [(i, int(c)) for i in range(ell)
+                      if (c := q.coefficient(tuple(int(t == i) for t in range(ell))))]
+            for j, column in enumerate(columns):
+                cur = Poly.zero(ell)
+                for i, c in coeffs:
+                    cur = cur + column[i] * c
+                cur, done = strip_factor(cur, q, m)
+                if done != m:
+                    return fi, j, done, str(cur)
+        else:
+            test = _orbit_test(q)
+            for j, column in enumerate(columns):
+                failure = test(column, m)
+                if failure is not None:
+                    return fi, j, failure[0], failure[1]
+    return None
 
 
 def doubled_entry(mat: Matrix) -> Matrix:

@@ -15,6 +15,7 @@ from multider.exactpoly import (
     mat_det_adj,
     poly_from_records,
     poly_to_records,
+    power_divides,
     strip_factor,
 )
 
@@ -109,6 +110,23 @@ def test_substitute_invariance_and_antiinvariance():
 def test_substitute_general_matrix():
     m = [[1, 1], [0, 1]]  # x1 -> x1, x2 -> x1 + x2
     assert (x1 * x2).substitute_linear(m) == x1 * (x1 + x2)
+
+
+def test_substitute_against_term_by_term_expansion():
+    # images with different denominators, and a constant term
+    y = [Poly.variable(3, i) for i in range(3)]
+    p = (y[0] - 2 * y[1]) ** 3 * y[2] * Fraction(1, 3) + y[1] ** 2 + y[0] * y[2] ** 2 \
+        - Fraction(5, 7)
+    g = [[Fraction(1, 2), 1, 0], [Fraction(1, 3), 0, 2], [0, -1, Fraction(3, 4)]]
+    images = [sum((y[i] * g[i][j] for i in range(3)), Poly.zero(3)) for j in range(3)]
+    expect = Poly.zero(3)
+    for exps, c in p.items():
+        term = Poly.const(3, c)
+        for img, e in zip(images, exps):
+            term = term * img**e
+        expect = expect + term
+    assert p.substitute_linear(g) == expect
+    assert p.substitute_polys(images) == expect
 
 
 def test_substitute_size_mismatch():
@@ -290,6 +308,31 @@ def test_strip_factor_against_repeated_division(index):
     assert_canonical(q)
     assert strip_factor(num, div, 0) == (num, 0)
     assert strip_factor(Poly.zero(2), div, 4) == (Poly.zero(2), 4)
+
+
+@pytest.mark.parametrize("div", [
+    x1, -3 * x2, x1 - x2, x1 + x2, -x1 + x2, (x1 + x2) * Fraction(1, 3), 2 * x1 - 4 * x2,
+    3 * x1 - 2 * x2, 2 * x1 + x2,
+], ids=str)
+def test_power_divides_against_strip_factor(div):
+    # the plans for x_a, x_a -+ x_b and any other linear form; the catalog
+    # factors are compared on P_m in test_saito
+    for q0 in (Poly.const(2, Fraction(5, 6)), x1 * Fraction(2, 3) - x2,
+               (x1 + 2 * x2) ** 3 * Fraction(1, 4) + x1 * x2**2):
+        for k in range(4):
+            for r in (Poly.zero(2), x2**3, Poly.const(2, 1), x1 * x2**4 * Fraction(1, 2)):
+                num = div**k * q0 + r
+                for lim in range(6):
+                    assert power_divides(num, div, lim) == (strip_factor(num, div, lim)[1] == lim)
+
+
+def test_power_divides_needs_a_homogeneous_linear_form():
+    for div in (x1 * x2, x1 + 1, 3 * x1**2 - x2**2):
+        with pytest.raises(ValueError, match="homogeneous linear form"):
+            power_divides(x1**2, div, 1)
+    # zero is divisible by every power, and every polynomial by alpha^0
+    assert power_divides(Poly.zero(2), x1 - x2, 5)
+    assert power_divides(x1 + 1, x1 - x2, 0)
 
 
 @pytest.mark.parametrize("single", [

@@ -10,12 +10,20 @@ import json
 from dataclasses import replace
 
 import pytest
+from oracles import membership_by_division
 
-from multider import cli, verify
+from multider import cli, saito, verify
 from multider.coxeter import CatalogError, CoxeterSystem, catalog_entries, get_system
 from multider.derivations import BMatrix, clear_caches, p_matrix, saito_certificate
-from multider.exactpoly import Matrix, Poly, is_constant_multiple, mat_det_adj
-from multider.saito import evaluation_point
+from multider.exactpoly import (
+    Matrix,
+    Poly,
+    is_constant_multiple,
+    mat_det_adj,
+    power_divides,
+    strip_factor,
+)
+from multider.saito import evaluation_point, membership_failure
 from multider.verify import verify_b_properties, verify_nesting, verify_ziegler
 
 CATALOG = [s.key for s in catalog_entries()]
@@ -187,6 +195,85 @@ def test_b_det_constant_skipped_when_the_degrees_fail(monkeypatch):
     assert recs["b(1).degrees"].status == "fail"
     assert recs["b(1).det_constant"].status == "skipped"
     assert "b(1).degrees failed" in recs["b(1).det_constant"].detail["reason"]
+
+
+# -- membership by root multiplicity --------------------------------------------
+
+
+def theta_at(column, alpha: Poly) -> Poly:
+    """theta(alpha) = sum_i theta^i alpha_i for a column theta."""
+    ell = alpha.nvars
+    out = Poly.zero(ell)
+    for i in range(ell):
+        c = alpha.coefficient(tuple(int(t == i) for t in range(ell)))
+        if c:
+            out = out + column[i] * c
+    return out
+
+
+# every linear factor of these systems, and I2(6)'s x1 and x2: monomials,
+# x_a + x_b, x_a - x_b and the wide forms 2 x_i + sum_{j != i} x_j of A
+POWER_KEYS = ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "D3", "D4", "I2(6)"]
+
+
+@pytest.mark.parametrize("key", POWER_KEYS)
+def test_power_divides_on_catalog_factors(key):
+    s = get_system(key)
+    # P_2 of A5 alone takes about 2 s
+    m = 1 if key == "A5" else 3
+    basis = p_matrix(s, m)
+    x1 = Poly.variable(s.rank, 0)
+    seen = set()
+    for alpha in s.factors:
+        if alpha.degree() != 1:
+            continue
+        seen.add(str(alpha))
+        for j, column in enumerate(columns(basis)):
+            theta = theta_at(column, alpha)
+            deg = basis.degrees[j]
+            # theta * x1 + alpha^2 is not homogeneous
+            for f in (theta, theta * alpha**2, theta + x1**deg, theta * x1 + alpha**2,
+                      alpha**m, alpha**m * x1 + alpha ** (m + 1)):
+                for lim in (1, m, m + 1, m + 3):
+                    assert power_divides(f, alpha, lim) == (strip_factor(f, alpha, lim)[1] == lim), \
+                        (str(alpha), j, str(f), lim)
+    forms = {"A3": "2*x1 + x2 + x3", "B2": "x1 + x2", "D3": "x1 - x2", "I2(6)": "x2"}
+    assert key not in forms or forms[key] in seen
+
+
+def doctored(basis, position):
+    """P_m with x1^deg added to the entry at position (row, column)."""
+    i, j = position
+    ell = basis.matrix.rows
+    cols = columns(basis)
+    cols[j][i] = cols[j][i] + Poly.variable(ell, 0) ** basis.degrees[j]
+    return with_columns(basis, cols)
+
+
+@pytest.mark.parametrize("key,m", [("A3", 4), ("B3", 5), ("D4", 3), ("B2", 3)])
+def test_membership_witness_matches_the_division_oracle(key, m):
+    s = get_system(key)
+    basis = p_matrix(s, m)
+    ell = s.rank
+    assert membership_failure(s.factors, basis.matrix, m) is None
+    for position in ((0, 0), (1, ell - 1), (ell - 1, 1)):
+        mat = doctored(basis, position).matrix
+        failure = membership_failure(s.factors, mat, m)
+        assert failure is not None and failure == membership_by_division(s.factors, mat, m)
+
+
+def test_passing_basis_is_certified_without_divisions(monkeypatch, capsys):
+    calls = []
+
+    def counting(num, div, limit):
+        calls.append(limit)
+        return strip_factor(num, div, limit)
+
+    clear_caches()
+    monkeypatch.setattr(saito, "strip_factor", counting)
+    assert cli.main(["basis", "B4", "--m", "8"]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 # -- a request the determinant route could not afford --------------------------
