@@ -6,9 +6,11 @@
     multider selftest          [--format json|text]
     multider catalog           [--format json|text]
 
-Exit codes: 0 success (and, for verify/selftest, every check passed),
-1 a check failed or an internal error (PipelineError or any other
-exception, reported on stderr without a traceback),
+Exit codes: 0 success (and, for verify/selftest, every check passed;
+for basis, Saito's criterion certified P_m), 1 a check failed (for basis,
+the witness is printed on stderr and nothing on stdout) or an internal
+error (PipelineError or any other exception, reported on stderr without a
+traceback),
 2 unknown or unsupported system key / usage error, 3 a resource limit was
 exceeded without --override-limits.
 
@@ -26,7 +28,7 @@ import json
 import sys
 
 from .coxeter import CatalogError, build_system, catalog_entries, parse_key
-from .derivations import PipelineError, b_matrix, p_matrix
+from .derivations import PipelineError, b_matrix, certify_direct_formulas, p_matrix
 from .exactpoly import Matrix, poly_to_records
 from .golden import run_selftest
 from .verify import CHECK_NAMES, resolve_checks, run_verification, verify_ziegler
@@ -109,8 +111,13 @@ def _report_text(report, include_timings: bool) -> str:
 def cmd_basis(args) -> int:
     system = _load_system(args, m=args.m)
     basis = p_matrix(system, args.m)
+    # Saito's criterion is the whole proof that the columns are a basis
     ziegler = verify_ziegler(system, basis)
-    det_constant = ziegler.detail.get("constant")
+    if ziegler.status != "pass":
+        print(f"error: Saito's criterion fails for P_{args.m} of {system.key}, witness: "
+              + json.dumps(ziegler.witness, sort_keys=True), file=sys.stderr)
+        return 1
+    det_constant = ziegler.detail["constant"]
     meta = {
         "m": basis.m,
         "k": basis.k,
@@ -165,13 +172,14 @@ def cmd_verify(args) -> int:
 
 def cmd_bmatrix(args) -> int:
     """B^(k) has one construction; "definition" and "both" certify it by
-    building P_{2k}, whose even steps prove the definition equal to it."""
+    the direct formulas C(1), ..., C(k), which prove the definition equal
+    to it (``derivations.b_matrix``)."""
     system = _load_system(args, k=args.k)
     routes = ("definition", "closed_form") if args.route == "both" else (
         args.route.replace("-", "_"),
     )
     if "definition" in routes:
-        p_matrix(system, 2 * args.k)
+        certify_direct_formulas(system, args.k)
     mat = b_matrix(system, args.k).matrix
     if args.format == "json":
         records = _matrix_records(mat)

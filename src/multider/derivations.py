@@ -16,15 +16,21 @@ From these the module constructs:
   theta with theta(alpha_H) divisible by alpha_H^m for every hyperplane:
   P_0 = Gram and P_m = P_{m-1} C_m, with the step matrix C_m = J(f) for
   odd m and -(B^(m/2))^{-1} P_1^T for even m (``step_matrix``; det B^(m/2)
-  is a nonzero constant).  Each even step certifies the direct formula
-  C(k): P_{2k} J(D^k x) = Gram from C(k - 1) by D[P_{2k-1}] C_{2k} =
-  -P_{2k-2} and records it (``certify_direct_formula``); no D^k x with
-  k >= 2 is formed.  Odd m follows: Gram J(D^k x)^{-1} J(f) = P_{2k} J(f).
-  Columns have degree k*h (even m) or k*h + m_j (odd m), k = m // 2.
+  is a nonzero constant).  Columns have degree k*h (even m) or k*h + m_j
+  (odd m), k = m // 2.  That the columns are a basis is Saito's criterion
+  (``saito_certificate``), which needs nothing else.
 
 * ``saito_certificate``: Saito's criterion on the memoised P_m
   (membership, degree sum, one evaluation; see ``saito``), computed once
   per P_m.  Its constant is det P_m / Q^m.
+
+* ``certify_direct_formula``: the direct formula C(k): P_{2k} J(D^k x) =
+  Gram, from C(k - 1) by D[P_{2k-1}] C_{2k} = -P_{2k-2}, with no D^k x
+  formed; odd m follows, Gram J(D^k x)^{-1} J(f) = P_{2k} J(f).  Building
+  P_2 certifies C(1), since it reads the D[P_1] that B^(1) is built from
+  and so guards B^(1).  C(k) for k >= 2 is certified where it is read
+  (``certify_direct_formulas``): by ``verify``, ``jdkx_det_constant`` and
+  the definition route of ``bmatrix``.
 
 * ``jdkx_inverse`` = Gram^{-1} P_{2k} and ``jdkx_det_constant`` = det Gram
   / (det P_{2k} / Q^(2k)) = det J(D^k x) Q^(2k), consequences of C(k).
@@ -80,6 +86,7 @@ __all__ = [
     "step_matrix",
     "saito_certificate",
     "certify_direct_formula",
+    "certify_direct_formulas",
     "b_matrix",
     "clear_caches",
 ]
@@ -99,6 +106,8 @@ _saito_cache: dict[tuple[str, int], Certificate] = {}
 _Pair = tuple[Poly, Mapping[Poly, int]]
 _jf_inv_cache: dict[str, tuple[tuple[_Pair, ...], ...]] = {}
 _step_cache: dict[tuple[str, int], Matrix] = {}
+# per k, the (P_{2k}, P_{2k-1}, C_{2k}) that ``p_matrix`` multiplied
+_built_cache: dict[tuple[str, int], tuple[Matrix, Matrix, Matrix]] = {}
 # per k, the (P_{2k}, P_{2k-1}, C_{2k}, P_{2k-2}, D x) of the last success
 _direct_cache: dict[tuple[str, int], tuple] = {}
 # the (P_1, D x, D[P_1]) of the last D[P_1] formed
@@ -107,7 +116,7 @@ _dp1_cache: dict[str, tuple[Matrix, tuple[ArrFrac, ...], Matrix]] = {}
 
 def clear_caches() -> None:
     for cache in (_dx_cache, _dkx_cache, _jdkx_cache, _pm_cache, _b_cache, _saito_cache,
-                  _jf_inv_cache, _step_cache, _direct_cache, _dp1_cache):
+                  _jf_inv_cache, _step_cache, _built_cache, _direct_cache, _dp1_cache):
         cache.clear()
 
 
@@ -256,8 +265,12 @@ def _wrong_degree(mat: Matrix, degrees) -> tuple[int, int] | None:
 def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
     """P_m by induction through the closed-form invariant matrices B^(k).
 
-    Every even step is certified against the direct formula, so a mistake
-    anywhere in the chain raises PipelineError.
+    Every entry is checked to be homogeneous of its column's degree.  An
+    even step records the P_{2k-1} and C_{2k} it multiplied, so that
+    ``certify_direct_formula`` need not form that product again.  Only
+    P_2 certifies its direct formula C(1) here: the certificate reads the
+    D[P_1] that B^(1) is built from, so a wrong B^(1) raises PipelineError.
+    C(k) for k >= 2 is certified by the code that reads it.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -269,14 +282,17 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
         mat = system.gram_matrix()
     else:
         step = step_matrix(system, m)
-        mat = p_matrix(system, m - 1).matrix @ step
+        prev = p_matrix(system, m - 1).matrix
+        mat = prev @ step
     degrees = _expected_degrees(system, m)
     bad = _wrong_degree(mat, degrees)
     if bad:
         raise PipelineError(f"{system.key}: entry ({bad[0] + 1},{bad[1] + 1}) of P_{m} has "
                             f"degree {mat[bad[0]][bad[1]].degree()}, expected {degrees[bad[1]]}")
     if m and m % 2 == 0:
-        certify_direct_formula(system, k, mat, step)
+        _built_cache[(system.key, k)] = (mat, prev, step)
+    if m == 2:
+        certify_direct_formula(system, 1, mat)
     basis = DerivationBasis(system.key, m, k, mat, degrees)
     _pm_cache[(system.key, m)] = basis
     return basis
@@ -324,8 +340,7 @@ def saito_certificate(system: CoxeterSystem, basis: DerivationBasis) -> Certific
     return cert
 
 
-def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix,
-                           step: Matrix | None = None) -> None:
+def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> None:
     """Certify C(k), k >= 1: P_{2k} J(D^k x) = Gram, that is, P_{2k} = Gram
     J(D^k x)^{-1}, given C(k - 1) (C(0) is P_0 = Gram), by the identity
     D[P_{2k-1}] C_{2k} = -P_{2k-2}, D[M] being D applied entrywise.
@@ -348,17 +363,18 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix,
     k >= 2 they are polynomials on every catalog system tried (to m 8, rank
     5 to m 4), so the product with C_{2k} is one over polynomials, compared
     with -P_{2k-2} by ``pairs_equal``; a PipelineError names the first entry
-    that differs.  ``step`` is the C_{2k} that p_even was built from
-    (``p_matrix``); without it p_even is checked against P_{2k-1} times the
-    memoised ``step_matrix``, so a doctored copy fails.  A success is
-    recorded with its objects; the identity is recomputed only when
+    that differs.  C_{2k} is the memoised ``step_matrix``.  p_even is
+    checked against P_{2k-1} C_{2k} unless it is the product ``p_matrix``
+    recorded from exactly these P_{2k-1} and C_{2k}, so a doctored P_{2k}
+    or C_{2k} fails and the memoised P_{2k} costs no product.  A success
+    is recorded with its objects; the identity is recomputed only when
     P_{2k-1}, C_{2k}, P_{2k-2} or D x is another object.  At k = 1 it reads
     the D[P_1] that B^(1) = J(f)^T D[P_1] was built from (``_d_p1``); the
     identity then holds exactly when C_2 = -(B^(1))^{-1} P_1^T for that
     B^(1), so a memoised B^(1) with a sign slip or a wrong entry fails it.
+    The caller certifies C(k - 1) first (``certify_direct_formulas``).
     """
-    built = step is not None
-    step = step if built else step_matrix(system, 2 * k)
+    step = step_matrix(system, 2 * k)
     p_odd = p_matrix(system, 2 * k - 1).matrix
     p_prev = p_matrix(system, 2 * k - 2).matrix
     dx = primitive_dx(system)
@@ -377,7 +393,8 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix,
                         f"{system.key}: entry ({i + 1},{j + 1}) of D[P_{2 * k - 1}] "
                         f"C_{2 * k} is {ArrFrac(*lhs)}, expected {-p_prev[i][j]}"
                     )
-    if not built:
+    built = _built_cache.get((system.key, k), (None,) * 3)
+    if not all(a is b for a, b in zip(objects[:3], built)):
         for i, j, e in (p_odd @ step).entries():
             if p_even[i][j] != e:
                 raise PipelineError(
@@ -385,6 +402,14 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix,
                     f"{p_even[i][j]}, expected P_{2 * k - 1} C_{2 * k} = {e}"
                 )
     _direct_cache[(system.key, k)] = objects
+
+
+def certify_direct_formulas(system: CoxeterSystem, top: int) -> None:
+    """Certify C(1), ..., C(top) in order, each on the memoised P_{2k}
+    (``certify_direct_formula``); the first that fails raises
+    PipelineError.  Every reader of the direct formula calls this."""
+    for k in range(1, top + 1):
+        certify_direct_formula(system, k, p_matrix(system, 2 * k).matrix)
 
 
 def _d_p1(system: CoxeterSystem, p1: Matrix, dx: tuple[ArrFrac, ...]) -> Matrix:
@@ -401,14 +426,19 @@ def _d_p1(system: CoxeterSystem, p1: Matrix, dx: tuple[ArrFrac, ...]) -> Matrix:
 
 
 def jdkx_inverse(system: CoxeterSystem, k: int) -> Matrix:
-    """J(D^k x)^{-1} = Gram^{-1} P_{2k}; polynomial entries, as fractions."""
+    """Gram^{-1} P_{2k}, as fractions: J(D^k x)^{-1} when C(k) holds.  It
+    certifies nothing; its one reader, ``jdg(dx).ii`` in ``verify``, is
+    itself the product Gram^{-1} P_2 J(D x) = I."""
     gram_inv = Matrix.from_rational(rat_mat_inv(system.gram), system.rank, frac=True)
     return gram_inv @ p_matrix(system, 2 * k).matrix
 
 
 def jdkx_det_constant(system: CoxeterSystem, k: int) -> Fraction:
     """The constant det J(D^k x) * Q^(2k) = det Gram / (det P_{2k} / Q^(2k)),
-    with det P_{2k} / Q^(2k) the constant of the memoised certificate."""
+    with det P_{2k} / Q^(2k) the constant of the memoised certificate.  It
+    rests on C(k), which is certified first (``certify_direct_formulas``);
+    a failure of either raises PipelineError."""
+    certify_direct_formulas(system, k)
     cert = saito_certificate(system, p_matrix(system, 2 * k))
     if cert.constant is None:
         raise PipelineError(
@@ -447,8 +477,8 @@ def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
     denominator raises PipelineError.
 
     The definition B_def^(k) = -J(f)^T Gram J(D^k x) J(D^(k-1) x)^{-1} J(f)
-    is not computed for k >= 2; the certificates of ``p_matrix`` prove it
-    equal to the closed form B_c^(k).  C(j): P_{2j} J(D^j x) = Gram
+    is not computed for k >= 2; the certificates of C(k - 1) and C(k)
+    prove it equal to the closed form B_c^(k).  C(j): P_{2j} J(D^j x) = Gram
     (``certify_direct_formula``) makes P_{2j} invertible with J(D^j x) =
     P_{2j}^{-1} Gram.  With C(k - 1), C(k), P_1 = Gram J(f) (Gram
     symmetric) and P_{2k-1} = P_{2k-2} J(f):
@@ -459,7 +489,8 @@ def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
     The even step built P_{2k} = -P_{2k-1} (B_c^(k))^{-1} P_1^T, so
     P_{2k}^{-1} = -(P_1^T)^{-1} B_c^(k) P_{2k-1}^{-1} (P_{2k} invertible
     makes P_1 and P_{2k-1} invertible), and B_def^(k) = B_c^(k).  Building
-    P_{2k} certifies C(j) for every j <= k.
+    P_{2k} certifies only C(1); a reader of B_def^(k) certifies C(1), ...,
+    C(k) (``certify_direct_formulas``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")

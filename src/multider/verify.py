@@ -59,8 +59,10 @@ The checks, by name as used in reports and on the command line:
                 C(j): P_{2j} J(D^j x) = Gram for j <= k (def_eq_closed) or
                 j <= k + 1 (proof in ``derivations.b_matrix``), each
                 certified from C(j - 1) by D[P_{2j-1}] C_{2j} = -P_{2j-2}
-                and read from the record of the certificate that built
-                P_{2j}, run again only when one of its inputs changed.
+                by the first record that reads it, and read from the record
+                of that certificate afterwards, run again only when one of
+                its inputs changed.  No product P_{2j-1} C_{2j} is formed
+                for the memoised P_{2j}.
 * equivariance  g[J(D^k x)] = rho^-1 J(D^k x) rho, g[J(f)] = rho^-1 J(f),
                 and g[P_m] = rho^T P_m for odd m, for every stored
                 generator.  The first is compared over polynomials as
@@ -88,7 +90,7 @@ from .derivations import (
     _wrong_degree,
     apply_derivation,
     b_matrix,
-    certify_direct_formula,
+    certify_direct_formulas,
     derivation_pair,
     jacobian,
     jdkx,
@@ -308,8 +310,8 @@ def verify_jdg_identities(system: CoxeterSystem) -> list[CheckRecord]:
     D[P_{2k+1}] C_{2k+2} = -P_{2k} Z Gram^{-1} P_{2k+2}, and with C(k + 1)
     that is D[P_{2k+1}] C_{2k+2} = -P_{2k}, the identity that certifies
     C(k + 1) from C(k) (``derivations.certify_direct_formula``).  The record
-    reads the recorded certificates of C(1), ..., C(k + 1).  For g = f, iv
-    is compared as it stands.
+    certifies C(1), ..., C(k + 1) in order, reading any certificate already
+    recorded on the same objects.  For g = f, iv is compared as it stands.
     """
     dx = primitive_dx(system)
     fresh_jdx = jacobian(dx)
@@ -364,13 +366,12 @@ def _central_block(system: CoxeterSystem) -> set[tuple[int, int]]:
 
 def _direct_formula_witness(system: CoxeterSystem, top: int) -> dict | None:
     """None when C(j) holds for every j <= top, each certified from C(j - 1)
-    (``certify_direct_formula``), else the failure of the first j that
-    breaks it."""
-    for j in range(1, top + 1):
-        try:
-            certify_direct_formula(system, j, p_matrix(system, 2 * j).matrix)
-        except PipelineError as err:
-            return {"reason": str(err)}
+    (``derivations.certify_direct_formulas``), else the failure of the
+    first j that breaks it."""
+    try:
+        certify_direct_formulas(system, top)
+    except PipelineError as err:
+        return {"reason": str(err)}
     return None
 
 
@@ -500,8 +501,8 @@ def verify_equivariance(system: CoxeterSystem, k: int, m: int) -> list[CheckReco
     automorphism, so g[J(D^k x)] = rho^-1 J(D^k x) rho reads g[P_{2k}] =
     Gram rho^-1 Gram^-1 P_{2k} rho.  Every stored generator satisfies
     rho^T Gram rho = Gram (checked with the catalog entry), so that is
-    g[P_{2k}] = rho^T P_{2k} rho, compared over polynomials.  C(k) is read
-    from the recorded certificates (``_direct_formula_witness``); the
+    g[P_{2k}] = rho^T P_{2k} rho, compared over polynomials.  C(k) is
+    certified, or read from its record, by ``_direct_formula_witness``; the
     records fail with its reason when it fails.
     """
     records: list[CheckRecord] = []
@@ -542,9 +543,10 @@ def verify_equivariance(system: CoxeterSystem, k: int, m: int) -> list[CheckReco
 
 
 def verify_recursion(system: CoxeterSystem, m: int) -> CheckRecord:
-    """The direct formula for the memoised P_m: C(j) for j <= m // 2, read
-    from the records of the certificates that built P_{2j}, each run again
-    when one of its inputs is not the object it certified."""
+    """The direct formula for the memoised P_m: C(j) for j <= m // 2,
+    certified in order by ``derivations.certify_direct_formulas``; a
+    certificate already recorded is read, and run again only when one of
+    its inputs is not the object it certified."""
     t0 = time.perf_counter()
     witness = _direct_formula_witness(system, m // 2)
     return _finish(_certified_record("recursion", witness, {"m": m}), t0)

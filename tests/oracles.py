@@ -213,3 +213,12 @@ PERTURBATIONS = {
     "dx": perturb_dx_memo,
     "p2": lambda monkeypatch, s: perturb_p_memo(monkeypatch, s, 2),
 }
+
+# the first link of the chain C(1), C(2) on B2 that each fault breaks: D x
+# is read by C(1) through D[P_1], P_2 is checked against P_1 C_2 by C(1),
+# and a perturbed C_4 leaves C(1) and fails C(2)
+FIRST_BROKEN_LINK = {
+    "dx": "entry (1,1) of D[P_1] C_2 is",
+    "p2": "entry (1,1) of P_2 is -2/3*x1^4 + 2*x1^2*x2^2, expected P_1 C_2",
+    "step": "entry (1,1) of D[P_3] C_4 is",
+}

@@ -5,13 +5,14 @@ import json
 import re
 
 import pytest
-from oracles import PERTURBATIONS
+from oracles import FIRST_BROKEN_LINK, PERTURBATIONS, perturb_step_matrix
 
 from multider import cli, derivations, golden, verify
 from multider.cli import main
 from multider.exactpoly import Matrix, poly_from_records
 from multider.derivations import PipelineError, clear_caches, p_matrix
 from multider.coxeter import get_system
+from multider.saito import Certificate
 
 
 def run_cli(argv, capsys):
@@ -167,9 +168,9 @@ def test_bmatrix_routes(capsys):
 @pytest.mark.parametrize("fault", sorted(PERTURBATIONS))
 def test_bmatrix_definition_route_fails_on_perturbed_certificate_input(
         capsys, monkeypatch, fault):
-    # the definition route builds P_4, whose even step certifies C(2) by
-    # D[P_3] C_4 = -P_2; P_0..P_3 are built before the fault, so that step
-    # runs here on it
+    # the definition route certifies C(1) and C(2), the second by
+    # D[P_3] C_4 = -P_2; P_0..P_3 are built before the fault, so the chain
+    # runs here on it from C(1)
     clear_caches()
     s = get_system("B2")
     p_matrix(s, 3)
@@ -177,7 +178,70 @@ def test_bmatrix_definition_route_fails_on_perturbed_certificate_input(
     code, out, err = run_cli(
         ["bmatrix", "B2", "--k", "2", "--route", "definition"], capsys)
     assert code == 1 and out == ""
-    assert err.startswith("internal error: ") and "entry (1,1) of D[P_3] C_4 is" in err
+    assert err.startswith("internal error: B2: ") and FIRST_BROKEN_LINK[fault] in err
+
+
+@pytest.mark.parametrize("argv", [["basis", "A3", "--m", "6"], ["basis", "B3", "--m", "8"]])
+def test_cold_basis_certifies_only_c1(capsys, monkeypatch, argv):
+    # Saito's criterion proves the basis; the direct formula C(k) is left to
+    # its readers, so a cold basis certifies C(1) (with B^(1)) and applies D
+    # to no P_{2k-1} with k >= 2
+    real_certify, real_apply = derivations.certify_direct_formula, derivations.apply_derivation
+    levels, operands = [], []
+
+    def certify(system, k, p_even):
+        levels.append(k)
+        return real_certify(system, k, p_even)
+
+    def apply(p, dx):
+        operands.append(p)
+        return real_apply(p, dx)
+
+    clear_caches()
+    monkeypatch.setattr(derivations, "certify_direct_formula", certify)
+    monkeypatch.setattr(derivations, "apply_derivation", apply)
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert levels == [1]
+    s = get_system(argv[1])
+    for k in range(2, int(argv[3]) // 2 + 1):
+        p_odd = p_matrix(s, 2 * k - 1).matrix
+        entries = [e for _, _, e in p_odd.entries()]
+        assert not any(e is p for e in entries for p in operands), k
+
+
+def test_basis_exits_1_when_saito_fails(capsys, monkeypatch):
+    # Saito's criterion is the whole proof of a basis; a failed certificate
+    # prints nothing on stdout and its witness on stderr
+    witness = {"condition": "evaluation", "point": [1, 2], "value": "0"}
+    clear_caches()
+    monkeypatch.setattr(derivations, "certify", lambda *args: Certificate(None, None, witness))
+    code, out, err = run_cli(["basis", "B3", "--m", "2"], capsys)
+    assert code == 1 and out == ""
+    head, sep, tail = err.partition(", witness: ")
+    assert head == "error: Saito's criterion fails for P_2 of B3" and sep
+    assert json.loads(tail) == witness and tail.endswith("}\n")
+    assert "Traceback" not in err
+    clear_caches()
+
+
+def test_verify_det_jdkx_certifies_its_direct_formula(capsys, monkeypatch):
+    # det-jdkx reads C(2): cold, it certifies the chain and passes; with C_4
+    # perturbed it fails with the reason of C(2), as a record
+    clear_caches()
+    argv = ["verify", "B2", "--m", "4", "--checks", "det-jdkx", "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    checks = json.loads(out)["report"]["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [("det-jdkx", "pass")]
+    clear_caches()
+    perturb_step_matrix(monkeypatch, 4)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (1, "")
+    checks = json.loads(out)["report"]["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [("det-jdkx", "fail")]
+    assert FIRST_BROKEN_LINK["step"] in checks[0]["witness"]["reason"]
+    clear_caches()
 
 
 def test_basis_and_bmatrix_form_no_dkx_at_any_k(capsys, monkeypatch):

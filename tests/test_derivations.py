@@ -316,12 +316,17 @@ def test_certificate_agrees_with_the_product_identity(key, top):
 
 
 def test_direct_formula_is_recorded_with_its_objects(monkeypatch):
-    # C(j) is certified from C(j - 1) when P_{2j} is built; verify reads that
-    # record and recomputes nothing.  A copy of P_4 is another object: it is
-    # checked against P_3 C_4, while the identity D[P_3] C_4 = -P_2, which
-    # does not involve P_4, is read from the record.
+    # building P_4 certifies C(1) alone; the first reader certifies C(2) and
+    # records it, and a second reader recomputes nothing.  A copy of P_4 is
+    # another object: it is checked against P_3 C_4, while the identity
+    # D[P_3] C_4 = -P_2, which does not involve P_4, is read from the record.
+    clear_caches()
     s = get_system("B2")
     p4 = p_matrix(s, 4).matrix
+    assert (s.key, 1) in derivations._direct_cache
+    assert (s.key, 2) not in derivations._direct_cache
+    assert verify_recursion(s, 4).status == "pass"
+    assert derivations._direct_cache[(s.key, 2)][0] is p4
 
     def broken(*args, **kwargs):
         raise AssertionError("the identity was recomputed")
@@ -340,6 +345,32 @@ def test_direct_formula_is_recorded_with_its_objects(monkeypatch):
     perturb_p_memo(monkeypatch, s, 2)
     with pytest.raises(PipelineError, match=r"entry \(1,1\) of D\[P_3\] C_4 is"):
         certify_direct_formula(s, 2, p4)
+
+
+@pytest.mark.parametrize("key, top", [("B2", 3), ("A3", 2), ("D4", 2)])
+def test_reader_of_the_memoised_p_even_forms_no_product(monkeypatch, key, top):
+    # p_matrix records the P_{2k-1} and C_{2k} it multiplied, so a reader
+    # handed the memoised P_{2k} certifies C(k) without P_{2k-1} C_{2k};
+    # a copy of P_{2k} is another object, checked by that product
+    clear_caches()
+    s = get_system(key)
+    p_matrix(s, 2 * top)
+    factors = {k: (p_matrix(s, 2 * k - 1).matrix, derivations.step_matrix(s, 2 * k))
+               for k in range(1, top + 1)}
+    real = Matrix.__matmul__
+    products = []
+
+    def recorded(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", recorded)
+    assert verify_recursion(s, 2 * top).status == "pass"
+    assert not any(a is p_odd and b is step
+                   for a, b in products for p_odd, step in factors.values())
+    p_even = p_matrix(s, 2 * top).matrix
+    certify_direct_formula(s, top, Matrix([list(p_even[i]) for i in range(s.rank)]))
+    assert any(a is factors[top][0] and b is factors[top][1] for a, b in products)
 
 
 def test_recursive_odd_rule():

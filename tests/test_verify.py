@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 from oracles import (
+    FIRST_BROKEN_LINK,
     PERTURBATIONS,
     equivariance_jdkx_in_full,
     jdg_ii_in_full,
@@ -402,14 +403,9 @@ def test_recursion_check():
     assert verify_recursion(s, 4).status == "pass"
 
 
-# C(1) fails for a perturbed D x (its identity) and P_2 (its product
-# P_2 = P_1 C_2); a perturbed C_4 leaves C(1) and fails C(2)
-_FIRST_FAILURE = {"step": "of D[P_3] C_4 is", "dx": "of D[P_1] C_2 is", "p2": "of P_2 is"}
-
-
 @pytest.mark.parametrize("fault", sorted(PERTURBATIONS))
 def test_recursion_check_fails_on_perturbed_certificate_input(monkeypatch, fault):
-    # negative control: P_4 is memoised and certified; a wrong input of the
+    # negative control: P_4 is memoised before the fault; a wrong input of the
     # certificate C(j) -> C(j+1) must fail the record, with the entry
     s = get_system("B2")
     p_matrix(s, 4)
@@ -417,7 +413,7 @@ def test_recursion_check_fails_on_perturbed_certificate_input(monkeypatch, fault
     rec = verify_recursion(s, 4)
     assert rec.status == "fail"
     assert rec.detail == {"m": 4}
-    assert f"entry (1,1) {_FIRST_FAILURE[fault]}" in rec.witness["reason"]
+    assert FIRST_BROKEN_LINK[fault] in rec.witness["reason"]
 
 
 @pytest.mark.parametrize("fault", sorted(PERTURBATIONS))
@@ -433,7 +429,21 @@ def test_b_step_records_fail_on_perturbed_certificate_input(monkeypatch, fault):
     for name in ("b(1).difference", "b(1).closed_formula"):
         assert recs[name].status == "fail", name
         assert recs[name].detail == {"next_route": "definition"}
-        assert f"entry (1,1) {_FIRST_FAILURE[fault]}" in recs[name].witness["reason"]
+        assert FIRST_BROKEN_LINK[fault] in recs[name].witness["reason"]
+
+
+@pytest.mark.parametrize("fault", sorted(PERTURBATIONS))
+def test_det_jdkx_and_equivariance_fail_on_perturbed_certificate_input(monkeypatch, fault):
+    # negative control: both read C(2) and certify the chain to it, so each
+    # fault fails them with the witness of the first broken link
+    s = get_system("B2")
+    p_matrix(s, 4)
+    PERTURBATIONS[fault](monkeypatch, s)
+    rec = verify_det_jdkx(s, 2)
+    assert rec.status == "fail" and rec.detail == {"k": 2}
+    assert FIRST_BROKEN_LINK[fault] in rec.witness["reason"]
+    recs = [r for r in verify_equivariance(s, 2, 4) if r.name.endswith(".jdkx")]
+    assert [(r.status, r.witness) for r in recs] == [("fail", rec.witness)] * len(s.generators)
 
 
 def test_b_properties_need_no_inverse_jacobian(monkeypatch):
