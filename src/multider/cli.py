@@ -3,8 +3,11 @@
     multider basis    SYSTEM --m N   [--format json|text] [--out PATH]
     multider verify   SYSTEM --m N   [--checks LIST|all] [--timings] ...
     multider bmatrix  SYSTEM --k N   [--route definition|closed-form|both] ...
-    multider selftest          [--format json|text]
+    multider selftest          [--format json|text] [--timings]
     multider catalog           [--format json|text]
+
+basis, verify and bmatrix take --override-limits; every command takes
+--format and --out.
 
 Exit codes: 0 success (and, for verify/selftest, every check passed;
 for basis, Saito's criterion certified P_m), 1 a check failed (for basis,
@@ -15,9 +18,11 @@ traceback),
 exceeded without --override-limits.
 
 Output is byte-deterministic for a fixed command line: term order, map
-order and catalog data are all fixed.  Timings are therefore only included
-when --timings is passed explicitly.  Rational numbers are always printed
-exactly (p/q), never as decimals.
+order and catalog data are all fixed.  With --timings, verify and selftest
+also print one JSON line on stderr, {"timings": [[record, seconds], ...]},
+the lap of each record in report order; stdout is the same bytes with or
+without it.  Rational numbers are always printed exactly (p/q), never as
+decimals.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .verify import CHECK_NAMES, resolve_checks, run_verification, verify_ziegle
 MAX_M = 8
 MAX_RANK = 5
 MAX_K = MAX_M // 2
+MAX_ORDER = 200  # of I2(n): a cold verify --m 8 took up to 3.1 s at n <= 200 on a 2-vCPU VM
 
 
 def _matrix_records(mat: Matrix) -> list:
@@ -70,7 +76,7 @@ def _load_system(args, m: int | None = None, k: int | None = None):
     except KeyError as err:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(2)
-    _check_limits(args, rank, m=m, k=k)
+    _check_limits(args, rank, order, m=m, k=k)
     try:
         return build_system(family, rank, order)
     except (KeyError, ValueError) as err:
@@ -78,10 +84,13 @@ def _load_system(args, m: int | None = None, k: int | None = None):
         raise SystemExit(2)
 
 
-def _check_limits(args, rank: int, m: int | None = None, k: int | None = None) -> None:
+def _check_limits(args, rank: int, order: int | None,
+                  m: int | None = None, k: int | None = None) -> None:
     problems = []
     if rank > MAX_RANK:
         problems.append(f"rank {rank} exceeds the default limit {MAX_RANK}")
+    if order is not None and order > MAX_ORDER:
+        problems.append(f"dihedral order {order} exceeds the default limit {MAX_ORDER}")
     if m is not None and m > MAX_M:
         problems.append(f"m = {m} exceeds the default limit {MAX_M}")
     if k is not None and k > MAX_K:
@@ -93,7 +102,7 @@ def _check_limits(args, rank: int, m: int | None = None, k: int | None = None) -
         raise SystemExit(3)
 
 
-def _report_text(report, include_timings: bool) -> str:
+def _report_text(report) -> str:
     lines = []
     for c in report.checks:
         extra = ""
@@ -101,11 +110,22 @@ def _report_text(report, include_timings: bool) -> str:
             extra = " " + ", ".join(f"{k}={v}" for k, v in sorted(c.detail.items()))
         if c.witness:
             extra += " witness: " + json.dumps(c.witness, sort_keys=True)
-        if include_timings:
-            extra += f" [{c.elapsed:.3f}s]"
         lines.append(f"{c.name}: {c.status}{extra}")
     lines.append("result: " + ("all checks passed" if report.passed else "FAILED"))
     return "\n".join(lines) + "\n"
+
+
+def _emit_report(args, report, head: dict) -> int:
+    """The report after head (json) or as text; with --timings, the lap of
+    each record goes to stderr as one JSON line, never to stdout."""
+    if args.format == "json":
+        _emit(json.dumps(dict(head, report=report.to_dict()), indent=2) + "\n", args.out)
+    else:
+        _emit(_report_text(report), args.out)
+    if args.timings:
+        laps = [[c.name, round(c.elapsed, 6)] for c in report.checks]
+        print(json.dumps({"timings": laps}), file=sys.stderr)
+    return 0 if report.passed else 1
 
 
 def cmd_basis(args) -> int:
@@ -157,17 +177,11 @@ def cmd_verify(args) -> int:
         return 2
     system = _load_system(args, m=args.m)
     report = run_verification(system, args.m, checks)
-    if args.format == "json":
-        payload = {
-            "system": system.key,
-            "command": "verify",
-            "params": {"m": args.m, "checks": sorted(report.params["checks"])},
-            "report": report.to_dict(include_timings=args.timings),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(_report_text(report, args.timings), args.out)
-    return 0 if report.passed else 1
+    return _emit_report(args, report, {
+        "system": system.key,
+        "command": "verify",
+        "params": {"m": args.m, "checks": sorted(report.params["checks"])},
+    })
 
 
 def cmd_bmatrix(args) -> int:
@@ -206,18 +220,8 @@ def cmd_bmatrix(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    report = run_selftest()
-    if args.format == "json":
-        payload = {
-            "system": None,
-            "command": "selftest",
-            "params": {},
-            "report": report.to_dict(include_timings=args.timings),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(_report_text(report, args.timings), args.out)
-    return 0 if report.passed else 1
+    return _emit_report(args, run_selftest(),
+                        {"system": None, "command": "selftest", "params": {}})
 
 
 def cmd_catalog(args) -> int:
@@ -268,11 +272,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, system=True):
         if system:
             p.add_argument("system", help="catalog key, e.g. B3, A2, D4, I2(5)")
+            p.add_argument("--override-limits", action="store_true")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--override-limits", action="store_true")
+
+    def timings(p):
         p.add_argument("--timings", action="store_true",
-                       help="include wall-clock timings (breaks byte determinism)")
+                       help="print the seconds of each record as one JSON line "
+                            "on stderr; stdout is unchanged")
 
     p = sub.add_parser("basis", help="compute the basis matrix P_m")
     common(p)
@@ -281,6 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run certification checks")
     common(p)
+    timings(p)
     p.add_argument("--m", type=_at_least(0), required=True)
     p.add_argument("--checks", default="all",
                    help="comma list from: " + ", ".join(CHECK_NAMES) + " (or all)")
@@ -295,6 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="replay the stored reference fixtures")
     common(p, system=False)
+    timings(p)
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("catalog", help="list the supported systems")

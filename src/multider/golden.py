@@ -26,7 +26,7 @@ from fractions import Fraction
 from .coxeter import build_system, get_system, symmetric_polys
 from .derivations import b_matrix, jdkx, jdkx_det_constant, p_matrix
 from .exactpoly import Matrix, Poly, is_constant_multiple
-from .verify import CheckRecord, VerificationReport
+from .verify import CheckRecord, VerificationReport, _Laps
 
 _THIRD = Fraction(1, 3)
 
@@ -107,47 +107,38 @@ def _diff_witness(got: Matrix, want: Matrix) -> dict:
 
 
 def run_selftest() -> VerificationReport:
-    """Replay all fixtures against the live pipeline."""
-    import time
-
+    """Replay all fixtures against the live pipeline; each record carries
+    its lap (``verify._Laps``)."""
+    laps = _Laps()
     report = VerificationReport("selftest", {})
     b2 = get_system("B2")
 
-    t0 = time.perf_counter()
     got = p_matrix(b2, 1).matrix
     want = b2_p1_matrix()
     rec = (CheckRecord("b2.p1", "pass") if got == want
            else CheckRecord("b2.p1", "fail", {}, _diff_witness(got, want)))
-    rec.elapsed = time.perf_counter() - t0
-    report.checks.append(rec)
+    report.checks.append(laps.stamp(rec))
 
-    t0 = time.perf_counter()
     c = is_constant_multiple(b2.q_poly, b2_q_poly())
     rec = (CheckRecord("b2.q", "pass", {"sign": str(c)}) if c in (1, -1)
            else CheckRecord("b2.q", "fail", {},
                             {"got": str(b2.q_poly), "want": str(b2_q_poly())}))
-    rec.elapsed = time.perf_counter() - t0
-    report.checks.append(rec)
+    report.checks.append(laps.stamp(rec))
 
-    t0 = time.perf_counter()
     q2 = b2_q_poly() ** 2
     got = jdkx(b2, 1).map(lambda e: (e * q2).as_poly())
     want = b2_jdx_times_q2()
     rec = (CheckRecord("b2.jdx", "pass") if got == want
            else CheckRecord("b2.jdx", "fail", {}, _diff_witness(got, want)))
-    rec.elapsed = time.perf_counter() - t0
-    report.checks.append(rec)
+    report.checks.append(laps.stamp(rec))
 
-    t0 = time.perf_counter()
     c = jdkx_det_constant(b2, 1)
     rec = (CheckRecord("b2.det_jdx", "pass", {"constant": str(c)})
            if c == B2_DET_JDX_TIMES_Q2
            else CheckRecord("b2.det_jdx", "fail", {},
                             {"got": str(c), "want": str(B2_DET_JDX_TIMES_Q2)}))
-    rec.elapsed = time.perf_counter() - t0
-    report.checks.append(rec)
+    report.checks.append(laps.stamp(rec))
 
-    t0 = time.perf_counter()
     got = p_matrix(b2, 3).matrix
     want = b2_p3_matrix()
     ratio = matrix_constant_ratio(got, want)
@@ -155,10 +146,8 @@ def run_selftest() -> VerificationReport:
         rec = CheckRecord("b2.p3", "pass", {"global_constant": str(ratio)})
     else:
         rec = CheckRecord("b2.p3", "fail", {}, _diff_witness(got, want))
-    rec.elapsed = time.perf_counter() - t0
-    report.checks.append(rec)
+    report.checks.append(laps.stamp(rec))
 
-    t0 = time.perf_counter()
     p3 = p_matrix(b2, 3).matrix
     det_p3 = p3[0][0] * p3[1][1] - p3[0][1] * p3[1][0]
     c = is_constant_multiple(det_p3, b2.q_poly**3)
@@ -166,17 +155,14 @@ def run_selftest() -> VerificationReport:
            if c == B2_DET_P3_OVER_CATALOG_Q3
            else CheckRecord("b2.det_p3", "fail", {},
                             {"got": str(c), "want": str(B2_DET_P3_OVER_CATALOG_Q3)}))
-    rec.elapsed = time.perf_counter() - t0
-    report.checks.append(rec)
+    report.checks.append(laps.stamp(rec))
 
     for rank in (2, 3, 4):
-        t0 = time.perf_counter()
         system = build_system("B", rank)
         got = b_matrix(system, 1).matrix
         want = type_b_b1_matrix(rank)
         rec = (CheckRecord(f"b{rank}.b1_formula", "pass") if got == want
                else CheckRecord(f"b{rank}.b1_formula", "fail", {},
                                 _diff_witness(got, want)))
-        rec.elapsed = time.perf_counter() - t0
-        report.checks.append(rec)
+        report.checks.append(laps.stamp(rec))
     return report

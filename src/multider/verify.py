@@ -6,6 +6,13 @@ matrix entry, or identity side) so a red result is actionable.  Checks
 never raise on mathematical failure; exceptions escaping from here mean a
 programming error.
 
+Each record carries a lap (``CheckRecord.elapsed``): a check starts one
+clock (``_Laps``) at its top, and each record it stamps is charged the time
+since the previous stamp, so the laps of a check add up to the check's time
+and work two records share is charged to the first.  Building P_m before
+the first check (``run_verification``) is charged to no record.  Laps are
+never part of a record's ``to_dict``.
+
 No check takes the determinant of a polynomial matrix of the pipeline:
 the determinant claims are certified by Saito's criterion (``saito``),
 the inclusion by one exact product.
@@ -79,8 +86,8 @@ The checks, by name as used in reports and on the command line:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from time import perf_counter
 
 from .coxeter import CoxeterSystem
 from .derivations import (
@@ -148,14 +155,11 @@ class CheckRecord:
     status: str  # "pass" | "fail" | "skipped"
     detail: dict = field(default_factory=dict)
     witness: dict | None = None
-    elapsed: float = 0.0
+    elapsed: float = 0.0  # the lap of _Laps.stamp; never serialised
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        out = {"name": self.name, "status": self.status, "detail": self.detail,
-               "witness": self.witness}
-        if include_timings:
-            out["elapsed"] = round(self.elapsed, 6)
-        return out
+    def to_dict(self) -> dict:
+        return {"name": self.name, "status": self.status, "detail": self.detail,
+                "witness": self.witness}
 
 
 @dataclass
@@ -168,18 +172,27 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def to_dict(self, include_timings: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "system": self.system,
             "params": self.params,
             "passed": self.passed,
-            "checks": [c.to_dict(include_timings) for c in self.checks],
+            "checks": [c.to_dict() for c in self.checks],
         }
 
 
-def _finish(record: CheckRecord, t0: float) -> CheckRecord:
-    record.elapsed = time.perf_counter() - t0
-    return record
+class _Laps:
+    """The clock of one check, started where the check starts: each record
+    it stamps is charged the time since the previous stamp, so the records
+    of a check add up to the check's time and no work is charged twice."""
+
+    def __init__(self) -> None:
+        self._last = perf_counter()
+
+    def stamp(self, record: CheckRecord) -> CheckRecord:
+        now = perf_counter()
+        record.elapsed, self._last = now - self._last, now
+        return record
 
 
 # ---------------------------------------------------------------------------
@@ -189,38 +202,36 @@ def _finish(record: CheckRecord, t0: float) -> CheckRecord:
 
 def verify_ziegler(system: CoxeterSystem, basis: DerivationBasis) -> CheckRecord:
     """Saito's criterion on basis (``derivations.saito_certificate``)."""
-    t0 = time.perf_counter()
+    laps = _Laps()
     cert = saito_certificate(system, basis)
     if cert.constant is not None:
         rec = CheckRecord("ziegler", "pass", {"m": basis.m, "constant": str(cert.constant)})
     else:
         rec = CheckRecord("ziegler", "fail", {"m": basis.m}, cert.witness)
-    return _finish(rec, t0)
+    return laps.stamp(rec)
 
 
 def verify_membership(system: CoxeterSystem, basis: DerivationBasis) -> CheckRecord:
     """Membership as recorded by the basis certificate, which Saito's
     criterion runs first, so ziegler and membership share it."""
-    t0 = time.perf_counter()
+    laps = _Laps()
     m = basis.m
     if m == 0:
-        return _finish(
-            CheckRecord("membership", "pass", {"m": 0, "vacuous": True}), t0
-        )
+        return laps.stamp(CheckRecord("membership", "pass", {"m": 0, "vacuous": True}))
     failure = saito_certificate(system, basis).membership
     if failure is None:
-        return _finish(
-            CheckRecord("membership", "pass", {"m": m, "orbit_level": system.orbit_level}), t0
+        return laps.stamp(
+            CheckRecord("membership", "pass", {"m": m, "orbit_level": system.orbit_level})
         )
     # the flag reports whether an orbit factor was reached before the failure
     orbit_level = any(q.degree() > 1 for q in system.factors[:failure[0] + 1])
     rec = CheckRecord("membership", "fail", {"m": m, "orbit_level": orbit_level},
                       membership_witness(system.factors, failure))
-    return _finish(rec, t0)
+    return laps.stamp(rec)
 
 
 def verify_degrees(system: CoxeterSystem, basis: DerivationBasis) -> CheckRecord:
-    t0 = time.perf_counter()
+    laps = _Laps()
     expected = _expected_degrees(system, basis.m)
     bad = _wrong_degree(basis.matrix, expected)
     if bad is None:
@@ -229,18 +240,16 @@ def verify_degrees(system: CoxeterSystem, basis: DerivationBasis) -> CheckRecord
         rec = CheckRecord("degrees", "fail", {"m": basis.m, "expected": list(expected)},
                           {"entry": [bad[0] + 1, bad[1] + 1],
                            "degree": basis.matrix[bad[0]][bad[1]].degree()})
-    return _finish(rec, t0)
+    return laps.stamp(rec)
 
 
 def verify_det_jdkx(system: CoxeterSystem, k: int) -> CheckRecord:
-    t0 = time.perf_counter()
+    laps = _Laps()
     try:
         c = jdkx_det_constant(system, k)
     except PipelineError as err:
-        return _finish(
-            CheckRecord("det-jdkx", "fail", {"k": k}, {"reason": str(err)}), t0
-        )
-    return _finish(CheckRecord("det-jdkx", "pass", {"k": k, "constant": str(c)}), t0)
+        return laps.stamp(CheckRecord("det-jdkx", "fail", {"k": k}, {"reason": str(err)}))
+    return laps.stamp(CheckRecord("det-jdkx", "pass", {"k": k, "constant": str(c)}))
 
 
 def _pairs(mat: Matrix) -> list[list[tuple]]:
@@ -262,25 +271,22 @@ def _chain_rule_rhs(rank: int, jdx: Matrix, jg: Matrix, d_jg) -> list[list[tuple
             for row, d_row in zip(jdx.product_pairs(jg), d_jg)]
 
 
-def _jdkx_records(system: CoxeterSystem, k: int, jdx: Matrix) -> list[CheckRecord]:
+def _jdkx_records(system: CoxeterSystem, k: int, jdx: Matrix,
+                  laps: _Laps) -> list[CheckRecord]:
     """i, ii and iv at g = D^k x, k in {0, 1}; i reads jdx as J(D x)."""
     tag = ("jdg(x)", "jdg(dx)")[k]
     jg = jdkx(system, k)
-
-    t0 = time.perf_counter()
     dx = primitive_dx(system)
     d_jg = _pairs(jg.map(lambda e: apply_derivation(e, dx)))
     rhs = _chain_rule_rhs(system.rank, jdx, jg, d_jg)
-    records = [_finish(_eq_record(f"{tag}.i", _pairs(jdkx(system, k + 1)), rhs), t0)]
+    records = [laps.stamp(_eq_record(f"{tag}.i", _pairs(jdkx(system, k + 1)), rhs))]
 
-    t0 = time.perf_counter()
     product = jdkx_inverse(system, k).product_pairs(jg)
     one = _pairs(Matrix.identity(system.rank, system.rank))
-    records.append(_finish(_eq_record(f"{tag}.ii", product, one), t0))
+    records.append(laps.stamp(_eq_record(f"{tag}.ii", product, one)))
 
-    t0 = time.perf_counter()
     witness = _direct_formula_witness(system, k + 1)
-    records.append(_finish(_certified_record(f"{tag}.iv", witness, {}), t0))
+    records.append(laps.stamp(_certified_record(f"{tag}.iv", witness, {})))
     return records
 
 
@@ -313,32 +319,29 @@ def verify_jdg_identities(system: CoxeterSystem) -> list[CheckRecord]:
     certifies C(1), ..., C(k + 1) in order, reading any certificate already
     recorded on the same objects.  For g = f, iv is compared as it stands.
     """
+    laps = _Laps()
     dx = primitive_dx(system)
     fresh_jdx = jacobian(dx)
-    records = _jdkx_records(system, 0, fresh_jdx)
+    records = _jdkx_records(system, 0, fresh_jdx, laps)
 
-    t0 = time.perf_counter()
     jf = system.jacobian_of_invariants()
     d_jf = _d_pairs(jf, dx)
     rhs = _negated(fresh_jdx.product_pairs(jf))
-    records.append(_finish(_eq_record("jdg.iii", d_jf, rhs), t0))
+    records.append(laps.stamp(_eq_record("jdg.iii", d_jf, rhs)))
 
-    t0 = time.perf_counter()
     jdf = jacobian([apply_derivation(f, dx) for f in system.invariants])
     rhs = _chain_rule_rhs(system.rank, jdkx(system, 1), jf, d_jf)
-    records.append(_finish(_eq_record("jdg(f).i", _pairs(jdf), rhs), t0))
+    records.append(laps.stamp(_eq_record("jdg(f).i", _pairs(jdf), rhs)))
 
-    t0 = time.perf_counter()
     inv = Matrix([[ArrFrac(*pair) for pair in row] for row in jf_inverse(system)])
     one = _pairs(Matrix.identity(system.rank, system.rank))
-    records.append(_finish(_eq_record("jdg(f).ii", inv.product_pairs(jf), one), t0))
+    records.append(laps.stamp(_eq_record("jdg(f).ii", inv.product_pairs(jf), one)))
 
-    t0 = time.perf_counter()
     inv_jf = inv @ jf
     rhs = _negated((inv @ jdf).product_pairs(inv_jf))
-    records.append(_finish(_eq_record("jdg(f).iv", _d_pairs(inv_jf, dx), rhs), t0))
+    records.append(laps.stamp(_eq_record("jdg(f).iv", _d_pairs(inv_jf, dx), rhs)))
 
-    return records + _jdkx_records(system, 1, jdkx(system, 1))
+    return records + _jdkx_records(system, 1, jdkx(system, 1), laps)
 
 
 def _eq_record(name: str, lhs: list[list[tuple]], rhs: list[list[tuple]]) -> CheckRecord:
@@ -387,20 +390,19 @@ def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
     ``derivations.b_matrix``), so the records that compare the definition
     with the closed form certify C(1), ..., C(j) (C(0) holds trivially).
     """
+    laps = _Laps()
     records: list[CheckRecord] = []
     ell = system.rank
     exps = system.exponents
     h = system.h
     central = _central_block(system)
 
-    t0 = time.perf_counter()
     bk = b_matrix(system, k).matrix
     b1 = b_matrix(system, 1).matrix
     witness = _direct_formula_witness(system, k)
-    records.append(_finish(_certified_record(f"b({k}).def_eq_closed", witness, {}), t0))
+    records.append(laps.stamp(_certified_record(f"b({k}).def_eq_closed", witness, {})))
 
     cells = [(i, j) for i in range(ell) for j in range(ell)]
-    t0 = time.perf_counter()
     want = {(i, j): exps[i] + exps[j] - h for i, j in cells}
     bad = next(((i, j) for i, j in cells if bk[i][j] and (
         not bk[i][j].is_homogeneous() or bk[i][j].degree() != want[i, j])), None)
@@ -408,30 +410,27 @@ def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
            else CheckRecord(f"b({k}).degrees", "fail", {},
                             {"entry": [bad[0] + 1, bad[1] + 1],
                              "degree": bk[bad[0]][bad[1]].degree(), "expected": want[bad]}))
-    degrees = _finish(rec, t0)
+    degrees = laps.stamp(rec)
     records.append(degrees)
 
-    t0 = time.perf_counter()
     bad = next(((gi, i, j) for gi, g in enumerate(system.generators) for i, j in cells
                 if bk[i][j] and bk[i][j].substitute_linear(g) != bk[i][j]), None)
     rec = (CheckRecord(f"b({k}).invariance", "pass", {"generators": len(system.generators)})
            if bad is None else
            CheckRecord(f"b({k}).invariance", "fail", {},
                        {"generator": bad[0] + 1, "entry": [bad[1] + 1, bad[2] + 1]}))
-    records.append(_finish(rec, t0))
+    records.append(laps.stamp(rec))
 
-    t0 = time.perf_counter()
     bad = next(((i, j) for i, j in cells
                 if i + j + 2 < ell + 1 and (i, j) not in central and bk[i][j]), None)
     rec = (CheckRecord(f"b({k}).shape", "pass", {"rule": "zero when i + j <= l"}) if bad is None
            else CheckRecord(f"b({k}).shape", "fail", {},
                             {"entry": [bad[0] + 1, bad[1] + 1], "value": str(bk[bad[0]][bad[1]])}))
-    records.append(_finish(rec, t0))
+    records.append(laps.stamp(rec))
 
     # The m-weighted symmetry m_i B_ij = m_j B_ji holds for B^(1); at level k
     # the antidiagonal carries (k + (k-1) m_i/m_j) B^(1)_ij, still a nonzero
     # constant but no longer m-symmetric (B2 already shows (7, 5) at k = 2).
-    t0 = time.perf_counter()
     rec = CheckRecord(f"b({k}).antidiagonal", "pass",
                       {"rule": "entries in Q*; m_i B_ij = m_j B_ji at level 1"})
     for i in range(ell):
@@ -448,10 +447,9 @@ def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
                                "b_ji": str(e_ji),
                                "b1_ij": str(b1[i][j]), "b1_ji": str(b1[j][i])})
             break
-    records.append(_finish(rec, t0))
+    records.append(laps.stamp(rec))
 
     if central:
-        t0 = time.perf_counter()
         p = system.rank // 2 - 1
         block = [[bk[p][p], bk[p][p + 1]], [bk[p + 1][p], bk[p + 1][p + 1]]]
         block1 = [[b1[p][p], b1[p][p + 1]], [b1[p + 1][p], b1[p + 1][p + 1]]]
@@ -467,11 +465,10 @@ def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
                           {"scale": scale}) if ok else CheckRecord(
             f"b({k}).central", "fail", {},
             {"block": [[str(e) for e in row] for row in block]})
-        records.append(_finish(rec, t0))
+        records.append(laps.stamp(rec))
 
     # with the degree table, each term of det B^(k) has degree
     # sum_i (m_i + m_sigma(i) - h) = 2|A| - l h = 0, so one value is det B^(k)
-    t0 = time.perf_counter()
     name = f"b({k}).det_constant"
     if degrees.status != "pass":
         rec = CheckRecord(name, "skipped",
@@ -482,15 +479,15 @@ def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
         value = det_at(bk, point)
         rec = (CheckRecord(name, "pass", {"constant": str(value)}) if value
                else CheckRecord(name, "fail", {}, {"point": list(point), "value": "0"}))
-    records.append(_finish(rec, t0))
+    records.append(laps.stamp(rec))
 
     # B^(k+1) - B^(k) and the closed form of B^(k+1), both by definition;
-    # the detail key names the route these records have always checked
-    t0 = time.perf_counter()
+    # the detail key names the route these records have always checked.
+    # Both read the one certificate, which the first record is charged.
     witness = _direct_formula_witness(system, k + 1)
     for name in ("difference", "closed_formula"):
-        records.append(_finish(_certified_record(
-            f"b({k}).{name}", witness, {"next_route": "definition"}), t0))
+        records.append(laps.stamp(_certified_record(
+            f"b({k}).{name}", witness, {"next_route": "definition"})))
     return records
 
 
@@ -505,6 +502,7 @@ def verify_equivariance(system: CoxeterSystem, k: int, m: int) -> list[CheckReco
     certified, or read from its record, by ``_direct_formula_witness``; the
     records fail with its reason when it fails.
     """
+    laps = _Laps()
     records: list[CheckRecord] = []
     ell = system.rank
     witness = _direct_formula_witness(system, k)
@@ -515,7 +513,6 @@ def verify_equivariance(system: CoxeterSystem, k: int, m: int) -> list[CheckReco
         rho = Matrix.from_rational(g, ell)
         rho_t = rho.transpose()
 
-        t0 = time.perf_counter()
         name = f"equivariance.g{gi + 1}.jdkx"
         if witness is None:
             lhs = p_even.map(lambda e: e.substitute_linear(g))
@@ -523,22 +520,20 @@ def verify_equivariance(system: CoxeterSystem, k: int, m: int) -> list[CheckReco
             rec.detail["k"] = k
         else:
             rec = CheckRecord(name, "fail", {"k": k}, witness)
-        records.append(_finish(rec, t0))
+        records.append(laps.stamp(rec))
 
-        t0 = time.perf_counter()
         lhs = jf.map(lambda e: e.substitute_linear(g))
         rho_inv = Matrix.from_rational(rat_mat_inv(g), ell, frac=True)
         rhs = rho_inv @ jf
-        records.append(_finish(_eq_record(f"equivariance.g{gi + 1}.jf", _pairs(lhs), _pairs(rhs)), t0))
+        records.append(laps.stamp(
+            _eq_record(f"equivariance.g{gi + 1}.jf", _pairs(lhs), _pairs(rhs))))
 
         if basis is not None:
-            t0 = time.perf_counter()
             lhs = basis.matrix.map(lambda e: e.substitute_linear(g))
             rhs = rho_t @ basis.matrix
-            records.append(
-                _finish(_eq_record(f"equivariance.g{gi + 1}.p_odd", _pairs(lhs), _pairs(rhs)), t0)
-            )
-            records[-1].detail["m"] = m
+            rec = _eq_record(f"equivariance.g{gi + 1}.p_odd", _pairs(lhs), _pairs(rhs))
+            rec.detail["m"] = m
+            records.append(laps.stamp(rec))
     return records
 
 
@@ -547,24 +542,24 @@ def verify_recursion(system: CoxeterSystem, m: int) -> CheckRecord:
     certified in order by ``derivations.certify_direct_formulas``; a
     certificate already recorded is read, and run again only when one of
     its inputs is not the object it certified."""
-    t0 = time.perf_counter()
+    laps = _Laps()
     witness = _direct_formula_witness(system, m // 2)
-    return _finish(_certified_record("recursion", witness, {"m": m}), t0)
+    return laps.stamp(_certified_record("recursion", witness, {"m": m}))
 
 
 def verify_nesting(system: CoxeterSystem, m: int) -> CheckRecord:
     """Columns of P_m in the polynomial span of the columns of P_{m-1}:
     the exact product P_{m-1} C_m equals P_m for the polynomial C_m of
     ``derivations.step_matrix``."""
-    t0 = time.perf_counter()
+    laps = _Laps()
     if m == 0:
-        return _finish(
-            CheckRecord("nesting", "skipped", {"reason": "m = 0 has no predecessor"}), t0
+        return laps.stamp(
+            CheckRecord("nesting", "skipped", {"reason": "m = 0 has no predecessor"})
         )
     product = p_matrix(system, m - 1).matrix @ step_matrix(system, m)
     rec = _eq_record("nesting", _pairs(product), _pairs(p_matrix(system, m).matrix))
     rec.detail = {"m": m}
-    return _finish(rec, t0)
+    return laps.stamp(rec)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,34 @@ def test_override_limits(capsys):
     assert code == 0 and "B6" in out
 
 
+def test_dihedral_order_limit_exits_3(capsys):
+    # refused before the system is built, so I2(201) costs nothing here
+    for argv in (["basis", "I2(201)", "--m", "1"], ["verify", "I2(201)", "--m", "1"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert "dihedral order 201 exceeds the default limit 200" in err
+
+
+def test_override_lifts_the_dihedral_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ORDER", 8)
+    code, out, err = run_cli(["basis", "I2(11)", "--m", "1"], capsys)
+    assert code == 3 and out == "" and "dihedral order 11" in err
+    code, out, _ = run_cli(["basis", "I2(11)", "--m", "1", "--override-limits"], capsys)
+    assert code == 0 and out.startswith("system I2(11): rank 2")
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--override-limits"],
+    ["selftest", "--override-limits"],
+    ["basis", "B2", "--m", "1", "--timings"],
+    ["bmatrix", "B2", "--k", "1", "--timings"],
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_options_are_registered_only_where_read(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: multider") and "unrecognized arguments" in err
+
+
 def test_basis_b2_m0_identity(capsys):
     code, out, _ = run_cli(["basis", "B2", "--m", "0", "--format", "json"], capsys)
     assert code == 0
@@ -365,12 +393,22 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_timings_flag_changes_bytes_only_when_set(capsys):
-    base1 = run_cli(["verify", "B2", "--m", "1", "--checks", "ziegler",
-                     "--format", "json"], capsys)[1]
-    base2 = run_cli(["verify", "B2", "--m", "1", "--checks", "ziegler",
-                     "--format", "json"], capsys)[1]
-    assert base1 == base2
-    timed = run_cli(["verify", "B2", "--m", "1", "--checks", "ziegler",
-                     "--format", "json", "--timings"], capsys)[1]
-    assert "elapsed" in timed and "elapsed" not in base1
+def _record_names(out: str, fmt: str) -> list[str]:
+    if fmt == "json":
+        return [c["name"] for c in json.loads(out)["report"]["checks"]]
+    return [line.split(":")[0] for line in out.splitlines()[:-1]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", [["verify", "B2", "--m", "3"], ["selftest"]],
+                         ids=["verify", "selftest"])
+def test_timings_go_to_stderr_and_leave_stdout(capsys, argv, fmt):
+    argv = argv + ["--format", fmt]
+    code, plain, plain_err = run_cli(argv, capsys)
+    timed_code, timed, err = run_cli(argv + ["--timings"], capsys)
+    assert code == timed_code == 0 and plain_err == ""
+    assert timed == plain
+    assert err.endswith("\n") and err.count("\n") == 1
+    laps = json.loads(err)["timings"]
+    assert [name for name, _ in laps] == _record_names(plain, fmt)
+    assert all(isinstance(s, float) and s >= 0 and s == round(s, 6) for _, s in laps)

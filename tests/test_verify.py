@@ -15,7 +15,7 @@ from oracles import (
     perturb_p_memo,
 )
 
-from multider import cli, derivations, verify
+from multider import cli, derivations, golden, verify
 from multider.coxeter import get_system
 from multider.derivations import DerivationBasis, clear_caches, p_matrix
 from multider.exactpoly import Matrix, Poly, is_constant_multiple, mat_det_adj, rat_det
@@ -502,6 +502,65 @@ def test_report_serialization_shape():
     report = run_verification(s, 1, ("ziegler",))
     d = report.to_dict()
     assert d["system"] == "B2" and d["passed"] is True
-    assert "elapsed" not in d["checks"][0]
-    dt = report.to_dict(include_timings=True)
-    assert "elapsed" in dt["checks"][0]
+    # a record's lap is never serialised: to_dict is the stdout bytes
+    assert sorted(d["checks"][0]) == ["detail", "name", "status", "witness"]
+    assert report.checks[0].elapsed > 0
+
+
+class _StubClock:
+    """perf_counter for the lap clock: every read advances it one tick,
+    and every call the check makes into the pipeline 1000 ticks."""
+
+    def __init__(self):
+        self.now = 0
+
+    def __call__(self):
+        self.now += 1
+        return self.now - 1
+
+
+# the pipeline functions each caller reaches through its own module
+_PIPELINE = {
+    verify: ("apply_derivation", "b_matrix", "certify_direct_formulas", "jacobian",
+             "jdkx", "jdkx_inverse", "jf_inverse", "p_matrix", "primitive_dx"),
+    golden: ("b_matrix", "build_system", "get_system", "jdkx", "jdkx_det_constant",
+             "p_matrix"),
+}
+
+_LAPPED_CALLS = {
+    "jdg": (verify, lambda s: verify.verify_jdg_identities(s)),
+    "b-properties": (verify, lambda s: verify.verify_b_properties(s, 2)),
+    "equivariance": (verify, lambda s: verify.verify_equivariance(s, 1, 3)),
+    "selftest": (golden, lambda s: golden.run_selftest().checks),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_LAPPED_CALLS))
+def test_laps_sum_to_the_span_of_the_call(monkeypatch, call):
+    """The records of a call are one lap each of one clock started at its
+    top: the laps add up to the time from the call's first clock read to
+    its last, so no work falls between records, before the first or after
+    the last, and no work is charged to two records."""
+    owner, run = _LAPPED_CALLS[call]
+    clock = _StubClock()
+    monkeypatch.setattr(verify, "perf_counter", clock)
+
+    def charged(fn):
+        def call_fn(*args, **kwargs):
+            clock.now += 1000
+            return fn(*args, **kwargs)
+        return call_fn
+
+    for name in _PIPELINE[owner]:
+        monkeypatch.setattr(owner, name, charged(getattr(owner, name)))
+    system = get_system("B2")
+    start = clock.now
+    records = run(system)
+    last_read = clock.now - 1
+    laps = [r.elapsed for r in records]
+    assert sum(laps) == last_read - start, list(zip((r.name for r in records), laps))
+    assert all(lap >= 1 for lap in laps)
+    if call == "b-properties":
+        # the one certificate of C(k + 1) is charged to the first reader only
+        lap = {r.name: r.elapsed for r in records}
+        assert lap["b(2).difference"] > 1000 and lap["b(2).closed_formula"] == 1
