@@ -18,11 +18,13 @@ traceback),
 exceeded without --override-limits.
 
 Output is byte-deterministic for a fixed command line: term order, map
-order and catalog data are all fixed.  With --timings, verify and selftest
-also print one JSON line on stderr, {"timings": [[record, seconds], ...]},
-the lap of each record in report order; stdout is the same bytes with or
-without it.  Rational numbers are always printed exactly (p/q), never as
-decimals.
+order and catalog data are all fixed.  --format json prints the bytes of
+json.dumps(payload, indent=2), written by one writer (_dumps) that renders
+each matrix entry straight from its packed terms.  With --timings, verify
+and selftest also print one JSON line on stderr, {"timings": [[record,
+seconds], ...]}, the lap of each record in report order; stdout is the
+same bytes with or without it.  Rational numbers are always printed
+exactly (p/q), never as decimals.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .coxeter import CatalogError, build_system, catalog_entries, parse_key
 from .derivations import PipelineError, b_matrix, certify_direct_formulas, p_matrix
-from .exactpoly import Matrix, poly_to_records
+from .exactpoly import Matrix, Poly, poly_to_json
 from .golden import run_selftest
 from .verify import CHECK_NAMES, resolve_checks, run_verification, verify_ziegler
 
@@ -45,7 +49,47 @@ MAX_ORDER = 200  # of I2(n): a cold verify --m 8 took up to 3.1 s at n <= 200 on
 
 
 def _matrix_records(mat: Matrix) -> list:
-    return [[poly_to_records(mat[i][j]) for j in range(mat.cols)] for i in range(mat.rows)]
+    """The rows of mat; _dumps writes each Poly entry as its term records."""
+    return [list(mat[i]) for i in range(mat.rows)]
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """json.dumps(obj, indent=2) with each Poly written as its term records
+    (``poly_to_records``); nl is the newline and indent of obj's own line.
+    A value json.dumps refuses raises TypeError here too."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        parts = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {type(key).__name__}")
+                key = _dumps(key)
+            parts.append(encode_basestring_ascii(key) + ": " + _dumps(value, inner))
+        return "{" + inner + f",{inner}".join(parts) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + f",{inner}".join([_dumps(v, inner) for v in obj]) + nl + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return "true" if obj is True else "false" if obj is False else int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if abs(obj) == math.inf:
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    if isinstance(obj, Poly):
+        return poly_to_json(obj, nl)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _render_derivation(mat: Matrix, j: int) -> str:
@@ -119,7 +163,7 @@ def _emit_report(args, report, head: dict) -> int:
     """The report after head (json) or as text; with --timings, the lap of
     each record goes to stderr as one JSON line, never to stdout."""
     if args.format == "json":
-        _emit(json.dumps(dict(head, report=report.to_dict()), indent=2) + "\n", args.out)
+        _emit(_dumps(dict(head, report=report.to_dict())) + "\n", args.out)
     else:
         _emit(_report_text(report), args.out)
     if args.timings:
@@ -153,7 +197,7 @@ def cmd_basis(args) -> int:
             "params": {"m": args.m, "format": args.format},
             "result": dict(meta, matrix=_matrix_records(basis.matrix)),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_dumps(payload) + "\n", args.out)
     else:
         lines = [
             f"system {system.key}: rank {system.rank}, h = {system.h}, "
@@ -205,7 +249,7 @@ def cmd_bmatrix(args) -> int:
         }
         if len(routes) == 2:
             payload["result"]["routes_agree"] = True
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_dumps(payload) + "\n", args.out)
     else:
         lines = [f"system {system.key}: B^({args.k})"]
         rows = ["  [" + ", ".join(str(mat[i][j]) for j in range(system.rank)) + "]"
@@ -233,7 +277,7 @@ def cmd_catalog(args) -> int:
             "params": {},
             "result": [s.describe() for s in systems],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_dumps(payload) + "\n", args.out)
     else:
         lines = []
         for s in systems:

@@ -10,12 +10,13 @@ Representations:
 * ``Poly``: sparse polynomial.  Its coefficients are Python ints over one
   positive common denominator, coprime to all of them, so every kernel
   runs on integers; ``fractions.Fraction`` appears only where values enter
-  or leave (constructor, accessors, evaluation, rendering, returned
-  scales).  Terms are stored in
-  a dict keyed by a packed integer encoding of the exponent vector.  The
-  packing puts the total degree in the most significant field, followed
-  by the exponents of x1, x2, ... in order, so comparing packed keys as
-  plain integers is exactly the graded lexicographic order.  That gives
+  or leave (constructor, accessors, evaluation, returned scales), and text
+  (``str``, ``poly_to_records``, ``poly_to_json``) is formatted from the
+  integer form by one helper.  Terms are stored in a dict keyed by a
+  packed integer encoding of the exponent vector.  The packing puts the
+  total degree in the most significant field, followed by the exponents
+  of x1, x2, ... in order, so comparing packed keys as plain integers is
+  exactly the graded lexicographic order.  That gives
   deterministic leading terms and deterministic serialization for free.
 
 * ``ArrFrac``: a rational function whose denominator is kept factored as
@@ -76,6 +77,7 @@ __all__ = [
     "pairs_equal",
     "mat_det_adj",
     "poly_to_records",
+    "poly_to_json",
     "poly_from_records",
     "rat_mat_mul",
     "rat_mat_inv",
@@ -434,24 +436,27 @@ class Poly:
     def __str__(self) -> str:
         if not self._t:
             return "0"
+        shifts, _, _ = _layout(self.nvars)
+        t, d = self._t, self._d
         parts: list[str] = []
-        for exps, c in self.items():
-            factors = [
+        for k in sorted(t, reverse=True):
+            v = t[k]
+            mono = "*".join(
                 f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(exps)
+                for i, e in enumerate(_unpack(k, shifts))
                 if e
-            ]
-            mono = "*".join(factors)
+            )
+            a = abs(v)
             if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = _coeff_text(a, d)
+            elif a == d:
                 body = mono
             else:
-                body = f"{abs(c)}*{mono}"
+                body = f"{_coeff_text(a, d)}*{mono}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if v > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if v > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -1448,24 +1453,45 @@ def _minor_table(matrix: Matrix):
 # ---------------------------------------------------------------------------
 
 
-def poly_to_records(p: Poly) -> list[dict]:
-    """Terms as JSON-ready records, leading term first (graded-lex order).
+def _coeff_text(v: int, d: int) -> str:
+    """str(Fraction(v, d)), formatted from the integer form: a gcd is taken
+    only when the denominator is not 1."""
+    if d == 1:
+        return str(v)
+    g = math.gcd(v, d)
+    return str(v // g) if g == d else f"{v // g}/{d // g}"
 
-    Each coefficient prints as str(Fraction(v, d)) would, formatted from
-    the integer form: a gcd is taken only when the denominator is not 1.
-    """
+
+def poly_to_records(p: Poly) -> list[dict]:
+    """Terms as JSON-ready records, leading term first (graded-lex order)."""
     shifts, _, _ = _layout(p.nvars)
     t, d = p._t, p._d
-    out = []
-    for k in sorted(t, reverse=True):
-        v = t[k]
-        if d == 1:
-            text = str(v)
-        else:
-            g = math.gcd(v, d)
-            text = str(v // g) if g == d else f"{v // g}/{d // g}"
-        out.append({"coefficient": text, "exponents": list(_unpack(k, shifts))})
-    return out
+    return [{"coefficient": _coeff_text(t[k], d), "exponents": list(_unpack(k, shifts))}
+            for k in sorted(t, reverse=True)]
+
+
+_TERM_TEMPLATES: dict[tuple[str, int], str] = {}
+
+
+def poly_to_json(p: Poly, nl: str) -> str:
+    """The text json.dumps(poly_to_records(p), indent=2) gives at the depth
+    whose newline-plus-indent is nl, written from the packed terms with one
+    template per (nl, nvars)."""
+    t = p._t
+    if not t:
+        return "[]"
+    i0 = nl + "  "
+    template = _TERM_TEMPLATES.get((nl, p.nvars))
+    if template is None:
+        i1, i2 = i0 + "  ", i0 + "    "
+        template = _TERM_TEMPLATES[nl, p.nvars] = (
+            f'{{{i1}"coefficient": "%s",{i1}"exponents": [{i2}'
+            + f",{i2}".join(["%d"] * p.nvars) + f"{i1}]{i0}}}")
+    shifts, _, _ = _layout(p.nvars)
+    d = p._d
+    terms = [template % (_coeff_text(t[k], d), *[(k >> s) & _MASK for s in shifts])
+             for k in sorted(t, reverse=True)]
+    return "[" + i0 + f",{i0}".join(terms) + nl + "]"
 
 
 def poly_from_records(records: Iterable[Mapping], nvars: int) -> Poly:

@@ -19,10 +19,15 @@ rho given C(k).
 ``membership_by_division`` is Saito's membership test with m exact
 divisions (``strip_factor``) per hyperplane and column, as it ran before
 ``power_divides`` decided it; the tests compare the failure witnesses.
+
+``json_text`` is ``json.dumps(obj, indent=2)``, which printed every
+``--format json`` output before ``cli._dumps`` wrote it; a ``Poly`` goes in
+as its term records (``poly_to_records``), as the command line gave it.
 """
 
 import dataclasses
 import functools
+import json
 
 from multider import derivations
 from multider.derivations import (
@@ -34,7 +39,15 @@ from multider.derivations import (
     jf_inverse,
     primitive_dx,
 )
-from multider.exactpoly import ArrFrac, Matrix, Poly, mat_det_adj, rat_mat_inv, strip_factor
+from multider.exactpoly import (
+    ArrFrac,
+    Matrix,
+    Poly,
+    mat_det_adj,
+    poly_to_records,
+    rat_mat_inv,
+    strip_factor,
+)
 from multider.saito import _orbit_test
 
 
@@ -154,6 +167,17 @@ def membership_by_division(factors, matrix: Matrix, m: int):
                 if failure is not None:
                     return fi, j, failure[0], failure[1]
     return None
+
+
+def _poly_records(obj):
+    if isinstance(obj, Poly):
+        return poly_to_records(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2), each Poly as its term records."""
+    return json.dumps(obj, indent=2, default=_poly_records)
 
 
 def doubled_entry(mat: Matrix) -> Matrix:

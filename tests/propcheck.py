@@ -11,6 +11,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+from oracles import json_text
+
+from multider.cli import _dumps
 from multider.coxeter import get_system
 from multider.exactpoly import ArrFrac, Matrix, Poly, divide_exact, mat_det_adj
 
@@ -141,6 +145,49 @@ def suite_reduction_invariant(count: int, seed: int = 107) -> int:
     return count
 
 
+_CHARS = 'a Z0"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001d54f\ud800'
+_FLOATS = (0.0, -0.0, 1e300, -1e-300, 0.1, 2.5, float("inf"), float("-inf"), float("nan"))
+
+
+def random_json_value(rng: random.Random, depth: int = 3):
+    """A nested value of the kinds cli._dumps writes: containers, scalars
+    and Poly leaves over 1-5 variables."""
+    kind = rng.randrange(9 if depth else 6)
+    if kind == 0:
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randint(0, 6)))
+    if kind == 1:
+        return rng.choice((True, False, None, 0, -1, 10**30, -(2**70) + 1))
+    if kind == 2:
+        return rng.choice(_FLOATS)
+    if kind in (3, 4, 5):
+        nv = rng.randint(1, 5)
+        return rng.choice((Poly.zero(nv), Poly.const(nv, rng.randint(-9, 9)),
+                           random_poly(rng, nv), -random_poly(rng, nv)))
+    items = [random_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    keys = [rng.choice(("", "k", 'q"\\', "\u00e9\n", 7, -2.5, True, None)) for _ in items]
+    return dict(zip(keys, items))
+
+
+def suite_json_writer(count: int, seed: int = 108) -> int:
+    """cli._dumps writes the bytes of json.dumps(indent=2), and refuses (with
+    TypeError) what json.dumps refuses."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        value = random_json_value(rng)
+        assert _dumps(value) == json_text(value)
+        for bad in (Fraction(1, 3), {1, 2}):
+            wrapped = {"m": [random_json_value(rng, 1), bad]}
+            with pytest.raises(TypeError):
+                json_text(wrapped)
+            with pytest.raises(TypeError):
+                _dumps(wrapped)
+    return count
+
+
 ALL_SUITES = (
     ("ring_axioms", suite_ring_axioms),
     ("partials_commute", suite_partials_commute),
@@ -149,4 +196,5 @@ ALL_SUITES = (
     ("adjugate", suite_adjugate),
     ("divide_roundtrip", suite_divide_roundtrip),
     ("reduction_invariant", suite_reduction_invariant),
+    ("json_writer", suite_json_writer),
 )

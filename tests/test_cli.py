@@ -5,7 +5,7 @@ import json
 import re
 
 import pytest
-from oracles import FIRST_BROKEN_LINK, PERTURBATIONS, perturb_step_matrix
+from oracles import FIRST_BROKEN_LINK, PERTURBATIONS, json_text, perturb_step_matrix
 
 from multider import cli, derivations, golden, verify
 from multider.cli import main
@@ -250,6 +250,32 @@ def test_basis_exits_1_when_saito_fails(capsys, monkeypatch):
     assert head == "error: Saito's criterion fails for P_2 of B3" and sep
     assert json.loads(tail) == witness and tail.endswith("}\n")
     assert "Traceback" not in err
+    clear_caches()
+
+
+@pytest.mark.parametrize("fault", sorted(PERTURBATIONS))
+def test_failing_verify_json_keeps_the_bytes_of_json_dumps(capsys, monkeypatch, fault):
+    # the reference digests cover passing reports only: a failing one, with
+    # its witnesses, prints what json.dumps(indent=2) prints of its report
+    reports = []
+
+    def spy(*args):
+        reports.append(verification(*args))
+        return reports[-1]
+
+    verification = cli.run_verification
+    clear_caches()
+    s = get_system("B2")
+    p_matrix(s, 4)
+    PERTURBATIONS[fault](monkeypatch, s)
+    monkeypatch.setattr(cli, "run_verification", spy)
+    code, out, err = run_cli(["verify", "B2", "--m", "4", "--format", "json"], capsys)
+    assert (code, err) == (1, "")
+    report = reports[0].to_dict()
+    assert any(c["status"] == "fail" and c["witness"] for c in report["checks"])
+    head = {"system": "B2", "command": "verify",
+            "params": {"m": 4, "checks": sorted(reports[0].params["checks"])}}
+    assert out == json_text(dict(head, report=report)) + "\n"
     clear_caches()
 
 

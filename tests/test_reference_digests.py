@@ -5,13 +5,16 @@ the benchmark workloads can send, keyed by the space-joined argument vector.
 Each request is replayed through ``cli.main`` with the derivation memo
 cleared first, so a change to any printed byte fails here as well as in the
 benchmark.  ``PINNED`` holds the digests of deeper rank-4 requests that no
-workload sends, taken before B^(1) was built from D[P_1].
+workload sends, taken before B^(1) was built from D[P_1].  Every JSON digest
+is of the bytes ``json.dumps(indent=2)`` printed before ``cli._dumps`` wrote
+them.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import json.encoder
 from pathlib import Path
 
 import pytest
@@ -54,3 +57,20 @@ def test_stdout_matches_reference_digest(key):
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_stdout_matches_pinned_digest(key):
     assert cold_stdout_digest(key) == PINNED[key]
+
+
+@pytest.mark.parametrize("key", [
+    "basis B3 --m 8 --format json",
+    "bmatrix B3 --k 4 --route both --format json",
+    "verify B2 --m 4 --format json",
+    "selftest --format json",
+    "catalog --format json",
+])
+def test_json_output_never_reaches_the_stdlib_encoder(monkeypatch, key):
+    # json.dumps with an indent runs the pure-Python _make_iterencode; the
+    # command line writes the same bytes without it
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.encoder._make_iterencode was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert cold_stdout_digest(key) == REFERENCE[key]
