@@ -44,12 +44,19 @@ Every step that the theory promises to be polynomial is asserted to be so;
 a failed assertion raises PipelineError, which always indicates a bug (in
 this code or its inputs), never a property of the mathematics.
 
-All results are memoised per (catalog key, parameter); the catalog is
-deterministic, so cache hits cannot change results, only timings.
+Everything is kept in one memo, ``_cache``, by two rules.  ``_memoised``
+stores a result per (function, catalog key, parameter); the catalog is
+deterministic, so a hit cannot change a result, only timings.  ``_recorded``
+stores a derived result or a passed certificate with the objects it came
+from, and serves it only while every one of them is the same object, so a
+perturbed or doctored input never reads another's record.
+``clear_caches`` empties the memo.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,28 +103,42 @@ class PipelineError(RuntimeError):
     """An identity the construction guarantees failed to hold."""
 
 
-_dx_cache: dict[str, tuple[ArrFrac, ...]] = {}
-_dkx_cache: dict[tuple[str, int], tuple[ArrFrac, ...]] = {}
-_jdkx_cache: dict[tuple[str, int], Matrix] = {}
-_pm_cache: dict[tuple[str, int], "DerivationBasis"] = {}
-_b_cache: dict[tuple[str, int], "BMatrix"] = {}
-_saito_cache: dict[tuple[str, int], Certificate] = {}
 # (numerator, denominator exponents) of an unreduced fraction
 _Pair = tuple[Poly, Mapping[Poly, int]]
-_jf_inv_cache: dict[str, tuple[tuple[_Pair, ...], ...]] = {}
-_step_cache: dict[tuple[str, int], Matrix] = {}
-# per k, the (P_{2k}, P_{2k-1}, C_{2k}) that ``p_matrix`` multiplied
-_built_cache: dict[tuple[str, int], tuple[Matrix, Matrix, Matrix]] = {}
-# per k, the (P_{2k}, P_{2k-1}, C_{2k}, P_{2k-2}, D x) of the last success
-_direct_cache: dict[tuple[str, int], tuple] = {}
-# the (P_1, D x, D[P_1]) of the last D[P_1] formed
-_dp1_cache: dict[str, tuple[Matrix, tuple[ArrFrac, ...], Matrix]] = {}
+# the one memo: ``_memoised`` results by (function name, catalog key,
+# parameter), and ``_recorded`` (inputs, result) records by a key of their own
+_cache: dict[tuple, object] = {}
 
 
 def clear_caches() -> None:
-    for cache in (_dx_cache, _dkx_cache, _jdkx_cache, _pm_cache, _b_cache, _saito_cache,
-                  _jf_inv_cache, _step_cache, _built_cache, _direct_cache, _dp1_cache):
-        cache.clear()
+    _cache.clear()
+
+
+def _memoised(fn):
+    """fn(system, *args), stored by (name, system.key, *args); a hit returns
+    the very object that was stored.  fn checks its own arguments."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def memo(system: CoxeterSystem, *args):
+        key = (name, system.key, *args)
+        result = _cache.get(key)
+        if result is None:
+            result = _cache[key] = fn(system, *args)
+        return result
+
+    return memo
+
+
+def _recorded(key: tuple, inputs: tuple, build):
+    """build(), stored with its inputs and read back only while every input
+    is the stored object; nothing is stored when build raises."""
+    record = _cache.get(key)
+    if record is not None and all(map(operator.is_, record[0], inputs)):
+        return record[1]
+    result = build()
+    _cache[key] = (inputs, result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +156,7 @@ def jacobian(entries) -> Matrix:
     return Matrix([[columns[j][i] for j in range(n)] for i in range(n)])
 
 
+@_memoised
 def jf_inverse(system: CoxeterSystem) -> tuple[tuple[_Pair, ...], ...]:
     """J(f)^{-1} = adj J(f) / (c Q) unreduced, as (numerator, denominator
     exponents) pairs, with det J(f) = c Q certified when the catalog entry
@@ -142,25 +164,19 @@ def jf_inverse(system: CoxeterSystem) -> tuple[tuple[_Pair, ...], ...]:
     entries it reads: ``primitive_dx`` the last row.  The memo is read-only:
     rows are tuples, and every pair holds one read-only copy of Q's
     factor map."""
-    cached = _jf_inv_cache.get(system.key)
-    if cached is None:
-        _, adj = mat_det_adj(system.jacobian_of_invariants())
-        inv_c = 1 / system.det_jf_constant
-        den = MappingProxyType(dict(system.q_factor_map))
-        cached = tuple(tuple((p * inv_c, den) for p in adj[i]) for i in range(adj.rows))
-        _jf_inv_cache[system.key] = cached
-    return cached
+    _, adj = mat_det_adj(system.jacobian_of_invariants())
+    inv_c = 1 / system.det_jf_constant
+    den = MappingProxyType(dict(system.q_factor_map))
+    return tuple(tuple((p * inv_c, den) for p in adj[i]) for i in range(adj.rows))
 
 
+@_memoised
 def primitive_dx(system: CoxeterSystem) -> tuple[ArrFrac, ...]:
     """Coordinates of the primitive derivation: the bottom row of J(f)^{-1}.
 
     Certified on construction by applying the resulting derivation to every
     basic invariant and checking D f_i = 0 (i < l), D f_l = 1.
     """
-    cached = _dx_cache.get(system.key)
-    if cached is not None:
-        return cached
     ell = system.rank
     dx = tuple(ArrFrac(*pair) for pair in jf_inverse(system)[ell - 1])
     for i, f in enumerate(system.invariants):
@@ -171,7 +187,6 @@ def primitive_dx(system: CoxeterSystem) -> tuple[ArrFrac, ...]:
                 f"{system.key}: primitive derivation sends f_{i + 1} to {got}, "
                 f"expected {expect}"
             )
-    _dx_cache[system.key] = dx
     return dx
 
 
@@ -195,13 +210,11 @@ def derivation_pair(p, dx) -> tuple[Poly, dict[Poly, int]]:
     return sum_pairs(p.nvars, pairs)
 
 
+@_memoised
 def iterate_dkx(system: CoxeterSystem, k: int) -> tuple[ArrFrac, ...]:
     """D^k applied to the coordinate vector; D^0 is the identity."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    cached = _dkx_cache.get((system.key, k))
-    if cached is not None:
-        return cached
     if k == 0:
         result = tuple(
             ArrFrac.from_poly(Poly.variable(system.rank, j)) for j in range(system.rank)
@@ -218,16 +231,12 @@ def iterate_dkx(system: CoxeterSystem, k: int) -> tuple[ArrFrac, ...]:
                     f"{system.key}: D^{k} x_{j + 1} has a pole along {bad[0]}, "
                     "outside the arrangement"
                 )
-    _dkx_cache[(system.key, k)] = result
     return result
 
 
+@_memoised
 def jdkx(system: CoxeterSystem, k: int) -> Matrix:
-    cached = _jdkx_cache.get((system.key, k))
-    if cached is None:
-        cached = jacobian(iterate_dkx(system, k))
-        _jdkx_cache[(system.key, k)] = cached
-    return cached
+    return jacobian(iterate_dkx(system, k))
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +271,20 @@ def _wrong_degree(mat: Matrix, degrees) -> tuple[int, int] | None:
         not mat[i][j].is_homogeneous() or mat[i][j].degree() != degrees[j])), None)
 
 
+@_memoised
 def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
     """P_m by induction through the closed-form invariant matrices B^(k).
 
     Every entry is checked to be homogeneous of its column's degree.  An
-    even step records the P_{2k-1} and C_{2k} it multiplied, so that
-    ``certify_direct_formula`` need not form that product again.  Only
+    even step seeds the product record of ``certify_direct_formula`` with
+    the P_{2k}, P_{2k-1} and C_{2k} it multiplied, so that the memoised
+    P_{2k} is not formed again as that product.  Only
     P_2 certifies its direct formula C(1) here: the certificate reads the
     D[P_1] that B^(1) is built from, so a wrong B^(1) raises PipelineError.
     C(k) for k >= 2 is certified by the code that reads it.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    cached = _pm_cache.get((system.key, m))
-    if cached is not None:
-        return cached
     k = m // 2
     if m == 0:
         mat = system.gram_matrix()
@@ -290,12 +298,10 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
         raise PipelineError(f"{system.key}: entry ({bad[0] + 1},{bad[1] + 1}) of P_{m} has "
                             f"degree {mat[bad[0]][bad[1]].degree()}, expected {degrees[bad[1]]}")
     if m and m % 2 == 0:
-        _built_cache[(system.key, k)] = (mat, prev, step)
+        _cache[("product", system.key, k)] = ((mat, prev, step), None)
     if m == 2:
         certify_direct_formula(system, 1, mat)
-    basis = DerivationBasis(system.key, m, k, mat, degrees)
-    _pm_cache[(system.key, m)] = basis
-    return basis
+    return DerivationBasis(system.key, m, k, mat, degrees)
 
 
 # ``perfbench/tracer.py`` looks this name up; the inductive route is now the
@@ -303,15 +309,13 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
 p_matrix_recursive = p_matrix
 
 
+@_memoised
 def step_matrix(system: CoxeterSystem, m: int) -> Matrix:
     """The polynomial matrix C_m with P_m = P_{m-1} C_m, m >= 1: J(f) for
     odd m, -(B^(m/2))^{-1} P_1^T for even m (det B^(m/2) is a nonzero
     constant, so the inverse is polynomial), memoised."""
     if m % 2 == 1:
         return system.jacobian_of_invariants()
-    cached = _step_cache.get((system.key, m))
-    if cached is not None:
-        return cached
     k = m // 2
     det_b, adj_b = mat_det_adj(b_matrix(system, k).matrix)
     if not det_b.is_constant():
@@ -319,25 +323,15 @@ def step_matrix(system: CoxeterSystem, m: int) -> Matrix:
     c = det_b.constant_value()
     if c == 0:
         raise PipelineError(f"{system.key}: B^({k}) is singular")
-    cached = -(adj_b.map(lambda p: p * (1 / c)) @ p_matrix(system, 1).matrix.transpose())
-    _step_cache[(system.key, m)] = cached
-    return cached
+    return -(adj_b.map(lambda p: p * (1 / c)) @ p_matrix(system, 1).matrix.transpose())
 
 
 def saito_certificate(system: CoxeterSystem, basis: DerivationBasis) -> Certificate:
-    """Saito's criterion for basis (``saito.certify``), once per memoised
-    P_m.  A basis that is not the memoised P_m (a doctored copy) is
-    certified afresh and not stored."""
-    key = (system.key, basis.m)
-    memoised = _pm_cache.get(key) is basis
-    if memoised:
-        cached = _saito_cache.get(key)
-        if cached is not None:
-            return cached
-    cert = certify(basis.matrix, system.factors, basis.m)
-    if memoised:
-        _saito_cache[key] = cert
-    return cert
+    """Saito's criterion for basis (``saito.certify``), recorded with the
+    basis object it certified: once per memoised P_m, and again when
+    another basis (a doctored copy) came in between."""
+    return _recorded(("saito", system.key, basis.m), (basis,),
+                     lambda: certify(basis.matrix, system.factors, basis.m))
 
 
 def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> None:
@@ -363,12 +357,12 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> Non
     k >= 2 they are polynomials on every catalog system tried (to m 8, rank
     5 to m 4), so the product with C_{2k} is one over polynomials, compared
     with -P_{2k-2} by ``pairs_equal``; a PipelineError names the first entry
-    that differs.  C_{2k} is the memoised ``step_matrix``.  p_even is
-    checked against P_{2k-1} C_{2k} unless it is the product ``p_matrix``
-    recorded from exactly these P_{2k-1} and C_{2k}, so a doctored P_{2k}
-    or C_{2k} fails and the memoised P_{2k} costs no product.  A success
-    is recorded with its objects; the identity is recomputed only when
-    P_{2k-1}, C_{2k}, P_{2k-2} or D x is another object.  At k = 1 it reads
+    that differs.  C_{2k} is the memoised ``step_matrix``.  p_even is then
+    checked against P_{2k-1} C_{2k}.  Each check is a record (``_recorded``):
+    the identity on (P_{2k-1}, C_{2k}, P_{2k-2}, D x), the product on
+    (P_{2k}, P_{2k-1}, C_{2k}), which ``p_matrix`` seeds when it builds
+    P_{2k}.  So a doctored P_{2k} or C_{2k} fails, and the memoised P_{2k}
+    costs no product and, once certified, no identity.  At k = 1 it reads
     the D[P_1] that B^(1) = J(f)^T D[P_1] was built from (``_d_p1``); the
     identity then holds exactly when C_2 = -(B^(1))^{-1} P_1^T for that
     B^(1), so a memoised B^(1) with a sign slip or a wrong entry fails it.
@@ -378,12 +372,8 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> Non
     p_odd = p_matrix(system, 2 * k - 1).matrix
     p_prev = p_matrix(system, 2 * k - 2).matrix
     dx = primitive_dx(system)
-    objects = (p_even, p_odd, step, p_prev, dx)
-    recorded = _direct_cache.get((system.key, k), (None,) * 5)
-    same = [a is b for a, b in zip(objects, recorded)]
-    if all(same):
-        return
-    if not all(same[1:]):
+
+    def identity() -> None:
         d_odd = _d_p1(system, p_odd, dx) if k == 1 else p_odd.map(
             lambda e: apply_derivation(e, dx))
         for i, row in enumerate(d_odd.product_pairs(step)):
@@ -393,15 +383,17 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> Non
                         f"{system.key}: entry ({i + 1},{j + 1}) of D[P_{2 * k - 1}] "
                         f"C_{2 * k} is {ArrFrac(*lhs)}, expected {-p_prev[i][j]}"
                     )
-    built = _built_cache.get((system.key, k), (None,) * 3)
-    if not all(a is b for a, b in zip(objects[:3], built)):
+
+    def product() -> None:
         for i, j, e in (p_odd @ step).entries():
             if p_even[i][j] != e:
                 raise PipelineError(
                     f"{system.key}: entry ({i + 1},{j + 1}) of P_{2 * k} is "
                     f"{p_even[i][j]}, expected P_{2 * k - 1} C_{2 * k} = {e}"
                 )
-    _direct_cache[(system.key, k)] = objects
+
+    _recorded(("direct", system.key, k), (p_odd, step, p_prev, dx), identity)
+    _recorded(("product", system.key, k), (p_even, p_odd, step), product)
 
 
 def certify_direct_formulas(system: CoxeterSystem, top: int) -> None:
@@ -415,14 +407,11 @@ def certify_direct_formulas(system: CoxeterSystem, top: int) -> None:
 def _d_p1(system: CoxeterSystem, p1: Matrix, dx: tuple[ArrFrac, ...]) -> Matrix:
     """D[P_1], D (coordinates dx) applied entrywise to P_1 = Gram J(f),
     each entry reduced once (``apply_derivation``).  B^(1) and the
-    certificate of C(1) both read it.  It is recorded with the P_1 and D x
-    it came from and formed again when either is another object, so a
+    certificate of C(1) both read it.  It is a record on (P_1, D x)
+    (``_recorded``), formed again when either is another object, so a
     perturbed memo never serves a later caller."""
-    recorded = _dp1_cache.get(system.key)
-    if recorded is None or recorded[0] is not p1 or recorded[1] is not dx:
-        recorded = (p1, dx, p1.map(lambda e: apply_derivation(e, dx)))
-        _dp1_cache[system.key] = recorded
-    return recorded[2]
+    return _recorded(("d_p1", system.key), (p1, dx),
+                     lambda: p1.map(lambda e: apply_derivation(e, dx)))
 
 
 def jdkx_inverse(system: CoxeterSystem, k: int) -> Matrix:
@@ -460,6 +449,7 @@ class BMatrix:
     matrix: Matrix  # over Poly; entries invariant, degree m_i + m_j - h
 
 
+@_memoised
 def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
     """The invariant matrix B^(k): B^(1) = J(f)^T D[P_1], and B^(k) =
     k B^(1) + (k-1) B^(1)^T for k >= 2.
@@ -494,9 +484,6 @@ def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    cached = _b_cache.get((system.key, k))
-    if cached is not None:
-        return cached
     if k == 1:
         d_p = _d_p1(system, p_matrix(system, 1).matrix, primitive_dx(system))
         work = system.jacobian_of_invariants().transpose() @ d_p
@@ -508,6 +495,4 @@ def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
     else:
         b1 = b_matrix(system, 1).matrix
         mat = b1.map(lambda p: p * k) + b1.transpose().map(lambda p: p * (k - 1))
-    result = BMatrix(system.key, k, mat)
-    _b_cache[(system.key, k)] = result
-    return result
+    return BMatrix(system.key, k, mat)

@@ -203,19 +203,20 @@ def perturb_step_matrix(monkeypatch, m: int) -> None:
 def perturb_dx_memo(monkeypatch, system) -> None:
     """Double D x_1 in the memoised primitive derivation of system."""
     dx = derivations.primitive_dx(system)
-    monkeypatch.setitem(derivations._dx_cache, system.key, (dx[0] * 2,) + dx[1:])
+    monkeypatch.setitem(derivations._cache, ("primitive_dx", system.key),
+                        (dx[0] * 2,) + dx[1:])
 
 
 def perturb_p_memo(monkeypatch, system, m: int) -> None:
     """Double entry (1,1) of the memoised P_m of system."""
     basis = derivations.p_matrix(system, m)
-    monkeypatch.setitem(derivations._pm_cache, (system.key, m),
+    monkeypatch.setitem(derivations._cache, ("p_matrix", system.key, m),
                         dataclasses.replace(basis, matrix=doubled_entry(basis.matrix)))
 
 
 def perturb_jdkx_memo(monkeypatch, system, k: int) -> None:
     """Double entry (1,1) of the memoised J(D^k x)."""
-    monkeypatch.setitem(derivations._jdkx_cache, (system.key, k),
+    monkeypatch.setitem(derivations._cache, ("jdkx", system.key, k),
                         doubled_entry(derivations.jdkx(system, k)))
 
 
@@ -226,7 +227,7 @@ def perturb_jf_inverse_memo(monkeypatch, system) -> None:
     rows = derivations.jf_inverse(system)
     (num, den), *rest = rows[0]
     assert num
-    monkeypatch.setitem(derivations._jf_inv_cache, system.key,
+    monkeypatch.setitem(derivations._cache, ("jf_inverse", system.key),
                         (((num * 2, den), *rest),) + rows[1:])
 
 

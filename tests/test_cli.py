@@ -315,7 +315,7 @@ def test_basis_and_bmatrix_form_no_dkx_at_any_k(capsys, monkeypatch):
                  ["bmatrix", "I2(5)", "--k", "1", "--route", "closed-form"]):
         code, _, err = run_cli(argv, capsys)
         assert (code, err) == (0, ""), argv
-        assert argv[1] in derivations._dx_cache, argv
+        assert ("primitive_dx", argv[1]) in derivations._cache, argv
 
 
 def test_verify_forms_dkx_only_to_k_2(capsys, monkeypatch):
@@ -352,7 +352,7 @@ def test_doctored_b1_fails_the_certificate_of_c1(capsys, monkeypatch, doctor, ar
     else:
         rows[0][-1] = rows[0][-1] * 2
     clear_caches()
-    monkeypatch.setitem(derivations._b_cache, (s.key, 1),
+    monkeypatch.setitem(derivations._cache, ("b_matrix", s.key, 1),
                         dataclasses.replace(b1, matrix=Matrix(rows)))
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""

@@ -4,6 +4,7 @@ The B2 expectations are the hand-derived fixtures from multider.golden;
 everything there was computed independently of this code path.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -291,8 +292,9 @@ def test_recursive_equals_direct(key):
 
 
 def _certificate_holds(s, k, p_even):
-    """certify_direct_formula from scratch: its record is dropped first."""
-    derivations._direct_cache.pop((s.key, k), None)
+    """certify_direct_formula from scratch: its record of the identity is
+    dropped first."""
+    derivations._cache.pop(("direct", s.key, k), None)
     try:
         certify_direct_formula(s, k, p_even)
     except PipelineError:
@@ -323,10 +325,11 @@ def test_direct_formula_is_recorded_with_its_objects(monkeypatch):
     clear_caches()
     s = get_system("B2")
     p4 = p_matrix(s, 4).matrix
-    assert (s.key, 1) in derivations._direct_cache
-    assert (s.key, 2) not in derivations._direct_cache
+    assert ("direct", s.key, 1) in derivations._cache
+    assert ("direct", s.key, 2) not in derivations._cache
     assert verify_recursion(s, 4).status == "pass"
-    assert derivations._direct_cache[(s.key, 2)][0] is p4
+    assert derivations._cache[("direct", s.key, 2)][0][0] is p_matrix(s, 3).matrix
+    assert derivations._cache[("product", s.key, 2)][0][0] is p4
 
     def broken(*args, **kwargs):
         raise AssertionError("the identity was recomputed")
@@ -419,17 +422,36 @@ def test_b1_equals_the_definition(s):
 
 
 def test_clear_caches_empties_every_memo():
-    # a cold request must build everything again, the record of D[P_1]
-    # included; every module-level memo is filled first
+    # one memo holds every result and every record, so a cold request
+    # builds everything again, the record of D[P_1] included
     s = get_system("B2")
+    clear_caches()
+    for fn, args in ((jf_inverse, ()), (primitive_dx, ()), (iterate_dkx, (2,)), (jdkx, (1,)),
+                     (p_matrix, (4,)), (derivations.step_matrix, (4,)), (b_matrix, (2,))):
+        assert fn(s, *args) is fn(s, *args), fn.__name__
+    clear_caches()
     derivations.saito_certificate(s, p_matrix(s, 4))
     jdkx(s, 1)
-    memos = {name: value for name, value in vars(derivations).items()
-             if name.startswith("_") and name.endswith("_cache") and isinstance(value, dict)}
-    assert "_dp1_cache" in memos
-    assert [name for name, memo in memos.items() if not memo] == []
+    kinds = {key[0] for key in derivations._cache}
+    assert {"d_p1", "saito", "direct", "product", "p_matrix", "jdkx"} <= kinds
     clear_caches()
-    assert [name for name, memo in memos.items() if memo] == []
+    assert derivations._cache == {}
+    # a memo of its own would escape clear_caches
+    assert [name for name, value in vars(derivations).items()
+            if isinstance(value, dict) and not name.startswith("__")] == ["_cache"]
+
+
+def test_saito_record_of_a_doctored_basis_never_serves_the_memoised_one():
+    clear_caches()
+    s = get_system("B2")
+    basis = p_matrix(s, 4)
+    cert = derivations.saito_certificate(s, basis)
+    assert cert.membership is None and cert.constant is not None
+    doctored = dataclasses.replace(basis, matrix=doubled_entry(basis.matrix))
+    bad = derivations.saito_certificate(s, doctored)
+    assert bad.membership is not None and bad.constant is None
+    assert bad.witness["condition"] == "membership"
+    assert derivations.saito_certificate(s, basis) == cert
 
 
 def test_b_rejects_bad_k():
