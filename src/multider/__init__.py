@@ -9,7 +9,6 @@ their recursions) in exact rational arithmetic.
 
 from .coxeter import CoxeterSystem, build_system, get_system, symmetric_polys
 from .derivations import (
-    BMatrix,
     DerivationBasis,
     PipelineError,
     apply_derivation,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrFrac",
-    "BMatrix",
     "CoxeterSystem",
     "DerivationBasis",
     "Matrix",

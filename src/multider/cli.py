@@ -238,7 +238,7 @@ def cmd_bmatrix(args) -> int:
     )
     if "definition" in routes:
         certify_direct_formulas(system, args.k)
-    mat = b_matrix(system, args.k).matrix
+    mat = b_matrix(system, args.k)
     if args.format == "json":
         records = _matrix_records(mat)
         payload = {

@@ -134,8 +134,8 @@ class CoxeterSystem:
             [[fj.diff(i) for fj in self.invariants] for i in range(self.rank)]
         )
 
-    def gram_matrix(self, frac: bool = False) -> Matrix:
-        return Matrix.from_rational(self.gram, self.rank, frac=frac)
+    def gram_matrix(self) -> Matrix:
+        return Matrix.from_rational(self.gram, self.rank)
 
     def describe(self) -> dict:
         return {
@@ -163,8 +163,7 @@ def symmetric_polys(kind: str, i: int, ell: int) -> Poly:
 
     kind "complete_sq" is the complete homogeneous symmetric polynomial
     evaluated at squared variables (degree 2i, invariant for type B); it is
-    zero for i < 0 and one for i = 0.  "elementary" and "power_sum" are the
-    usual e_i and p_i.
+    zero for i < 0 and one for i = 0.  "elementary" is the usual e_i.
     """
     if ell < 1:
         raise ValueError("ell must be positive")
@@ -188,17 +187,6 @@ def symmetric_polys(kind: str, i: int, ell: int) -> Poly:
                 exps[j] = 1
             terms[tuple(exps)] = Fraction(1)
         return Poly(ell, terms) if terms else Poly.const(ell, 1)
-    if kind == "power_sum":
-        if i < 0:
-            return Poly.zero(ell)
-        if i == 0:
-            return Poly.const(ell, ell)
-        terms = {}
-        for j in range(ell):
-            exps = [0] * ell
-            exps[j] = i
-            terms[tuple(exps)] = Fraction(1)
-        return Poly(ell, terms)
     raise ValueError(f"unknown symmetric polynomial kind: {kind!r}")
 
 

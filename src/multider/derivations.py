@@ -79,7 +79,6 @@ from .saito import Certificate, certify
 __all__ = [
     "PipelineError",
     "DerivationBasis",
-    "BMatrix",
     "jacobian",
     "jf_inverse",
     "primitive_dx",
@@ -317,7 +316,7 @@ def step_matrix(system: CoxeterSystem, m: int) -> Matrix:
     if m % 2 == 1:
         return system.jacobian_of_invariants()
     k = m // 2
-    det_b, adj_b = mat_det_adj(b_matrix(system, k).matrix)
+    det_b, adj_b = mat_det_adj(b_matrix(system, k))
     if not det_b.is_constant():
         raise PipelineError(f"{system.key}: det B^({k}) is not constant: {det_b}")
     c = det_b.constant_value()
@@ -415,10 +414,10 @@ def _d_p1(system: CoxeterSystem, p1: Matrix, dx: tuple[ArrFrac, ...]) -> Matrix:
 
 
 def jdkx_inverse(system: CoxeterSystem, k: int) -> Matrix:
-    """Gram^{-1} P_{2k}, as fractions: J(D^k x)^{-1} when C(k) holds.  It
-    certifies nothing; its one reader, ``jdg(dx).ii`` in ``verify``, is
-    itself the product Gram^{-1} P_2 J(D x) = I."""
-    gram_inv = Matrix.from_rational(rat_mat_inv(system.gram), system.rank, frac=True)
+    """Gram^{-1} P_{2k}, a polynomial matrix: J(D^k x)^{-1} when C(k)
+    holds.  It certifies nothing; its one reader, ``jdg(dx).ii`` in
+    ``verify``, is itself the product Gram^{-1} P_2 J(D x) = I."""
+    gram_inv = Matrix.from_rational(rat_mat_inv(system.gram), system.rank)
     return gram_inv @ p_matrix(system, 2 * k).matrix
 
 
@@ -442,17 +441,11 @@ def jdkx_det_constant(system: CoxeterSystem, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BMatrix:
-    system_key: str
-    k: int
-    matrix: Matrix  # over Poly; entries invariant, degree m_i + m_j - h
-
-
 @_memoised
-def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
-    """The invariant matrix B^(k): B^(1) = J(f)^T D[P_1], and B^(k) =
-    k B^(1) + (k-1) B^(1)^T for k >= 2.
+def b_matrix(system: CoxeterSystem, k: int) -> Matrix:
+    """The invariant matrix B^(k) over Poly, entry (i, j) of degree
+    m_i + m_j - h: B^(1) = J(f)^T D[P_1], and B^(k) = k B^(1) +
+    (k-1) B^(1)^T for k >= 2.
 
     B^(1) is the definition -J(f)^T Gram J(D x) J(f), with no J(D x)
     formed.  ``primitive_dx`` certifies D f_j = delta_{jl}; its derivative
@@ -491,8 +484,6 @@ def b_matrix(system: CoxeterSystem, k: int) -> BMatrix:
             if not e.is_polynomial():
                 raise PipelineError(f"{system.key}: entry ({i + 1},{j + 1}) of "
                                     f"B^(1) did not clear its denominator: {e}")
-        mat = work.map(lambda e: e.as_poly())
-    else:
-        b1 = b_matrix(system, 1).matrix
-        mat = b1.map(lambda p: p * k) + b1.transpose().map(lambda p: p * (k - 1))
-    return BMatrix(system.key, k, mat)
+        return work.map(lambda e: e.as_poly())
+    b1 = b_matrix(system, 1)
+    return b1.map(lambda p: p * k) + b1.transpose().map(lambda p: p * (k - 1))

@@ -71,7 +71,6 @@ __all__ = [
     "power_divides",
     "is_constant_multiple",
     "canonical_factor",
-    "expand_factor_powers",
     "product_pair",
     "sum_pairs",
     "pairs_equal",
@@ -939,17 +938,6 @@ def _factor_power(f: Poly, e: int) -> Poly:
     return f**e
 
 
-def expand_factor_powers(nvars: int, powers: Mapping[Poly, int]) -> Poly:
-    """The polynomial prod f^e over a factor-exponent map."""
-    acc = None
-    for f in sorted_factors(powers):
-        e = powers[f]
-        if e:
-            fe = _factor_power(f, e)
-            acc = fe if acc is None else acc * fe
-    return Poly.const(nvars, 1) if acc is None else acc
-
-
 def product_pair(a: "ArrFrac", num: Poly, den: Mapping[Poly, int]) -> tuple[Poly, dict[Poly, int]]:
     """The unreduced product a * num / prod f^den as (numerator,
     denominator exponents)."""
@@ -964,9 +952,10 @@ def sum_pairs(
 ) -> tuple[Poly, dict[Poly, int]]:
     """The unreduced sum of the fractions num / prod f^den.
 
-    The numerators are lifted to the common denominator (the per-factor
-    maximum over the pairs) and added; ``ArrFrac(*sum_pairs(...))`` reduces
-    the sum once, and that reduced form is canonical.
+    Each numerator is lifted to the common denominator (the per-factor
+    maximum over the pairs) one factor power at a time (``_lift``), and the
+    lifts are added; ``ArrFrac(*sum_pairs(...))`` reduces the sum once, and
+    that reduced form is canonical.
     """
     den: dict[Poly, int] = {}
     for _, d in pairs:
@@ -979,31 +968,14 @@ def sum_pairs(
     return total, den
 
 
-# a numerator with more terms than this is lifted one factor power at a time.
-# Long lifts per cold request: none on the benchmark pools; 144 of 336 on
-# ``basis A4 --m 8`` and 125 of 400 on ``basis A5 --m 4``, all in D[P_{2k-1}]
-# at k >= 2; 96 of 888 on ``verify A4 --m 4 --checks all``.  A cold
-# ``basis A5 --m 4`` took 9.2-13.2 s with them and 11.8-16.8 s with whole
-# lifts only, slower in six of six alternating pairs, same stdout (2026-10-20,
-# shared 2-vCPU Xeon VM, Python 3.11.7).
-_LONG_NUMERATOR = 128
-
-
 def _lift(num: Poly, d: Mapping[Poly, int], den: Mapping[Poly, int]) -> Poly:
-    """The numerator of num / prod f^d over the larger denominator den.
-
-    A short numerator is multiplied by the expanded surplus
-    prod f^(den_f - d_f) in one product.  A long one is multiplied by one
-    factor power at a time: it then merges terms at every step, where one
-    product with the many terms of the expanded surplus would not.
-    """
-    surplus = {f: e - d.get(f, 0) for f, e in den.items() if e > d.get(f, 0)}
-    if not surplus:
-        return num
-    if len(num) <= _LONG_NUMERATOR:
-        return num * expand_factor_powers(num.nvars, surplus)
-    for f, e in surplus.items():
-        num = num * _factor_power(f, e)
+    """The numerator of num / prod f^d over the larger denominator den:
+    num multiplied by one cached factor power f^(den_f - d_f) at a time.
+    The surplus is never expanded; each product merges terms as it goes."""
+    for f, e in den.items():
+        surplus = e - d.get(f, 0)
+        if surplus > 0:
+            num = num * _factor_power(f, surplus)
     return num
 
 
@@ -1254,20 +1226,17 @@ class Matrix:
         self._e = rows
 
     @classmethod
-    def identity(cls, n: int, nvars: int, frac: bool = False) -> "Matrix":
-        one = Poly.const(nvars, 1)
-        zero = Poly.zero(nvars)
-        if frac:
-            one, zero = ArrFrac.from_poly(one), ArrFrac.from_poly(zero)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(cls, n: int, nvars: int) -> "Matrix":
+        """The n x n identity over Poly in nvars variables; a product with a
+        fraction matrix promotes it."""
+        return cls.from_rational([[int(i == j) for j in range(n)] for i in range(n)], nvars)
 
     @classmethod
-    def from_rational(cls, grid, nvars: int, frac: bool = False) -> "Matrix":
-        def lift(v):
-            p = Poly.const(nvars, v)
-            return ArrFrac.from_poly(p) if frac else p
-
-        return cls([[lift(v) for v in row] for row in grid])
+    def from_rational(cls, grid, nvars: int) -> "Matrix":
+        """A matrix of rational constants as constant polynomials; ``@`` and
+        ``product_pairs`` promote it wherever the other factor has a
+        fraction entry."""
+        return cls([[Poly.const(nvars, v) for v in row] for row in grid])
 
     def __getitem__(self, i: int) -> list:
         return self._e[i]
@@ -1331,13 +1300,6 @@ class Matrix:
             ]
             for i in range(self.rows)
         ]
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self @ other
-        return self.map(lambda v: v * other)
-
-    __rmul__ = __mul__
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -159,7 +159,7 @@ def run_selftest() -> VerificationReport:
 
     for rank in (2, 3, 4):
         system = build_system("B", rank)
-        got = b_matrix(system, 1).matrix
+        got = b_matrix(system, 1)
         want = type_b_b1_matrix(rank)
         rec = (CheckRecord(f"b{rank}.b1_formula", "pass") if got == want
                else CheckRecord(f"b{rank}.b1_formula", "fail", {},

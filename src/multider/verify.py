@@ -397,8 +397,8 @@ def verify_b_properties(system: CoxeterSystem, k: int) -> list[CheckRecord]:
     h = system.h
     central = _central_block(system)
 
-    bk = b_matrix(system, k).matrix
-    b1 = b_matrix(system, 1).matrix
+    bk = b_matrix(system, k)
+    b1 = b_matrix(system, 1)
     witness = _direct_formula_witness(system, k)
     records.append(laps.stamp(_certified_record(f"b({k}).def_eq_closed", witness, {})))
 
@@ -523,7 +523,7 @@ def verify_equivariance(system: CoxeterSystem, k: int, m: int) -> list[CheckReco
         records.append(laps.stamp(rec))
 
         lhs = jf.map(lambda e: e.substitute_linear(g))
-        rho_inv = Matrix.from_rational(rat_mat_inv(g), ell, frac=True)
+        rho_inv = Matrix.from_rational(rat_mat_inv(g), ell)
         rhs = rho_inv @ jf
         records.append(laps.stamp(
             _eq_record(f"equivariance.g{gi + 1}.jf", _pairs(lhs), _pairs(rhs))))

@@ -58,7 +58,7 @@ def b_by_definition(system, k: int) -> Matrix:
     that keeps a denominator.  Cached per catalog system and k, since the
     value is deterministic and several tests compare against it."""
     jf = system.jacobian_of_invariants()
-    work = jf.transpose() @ system.gram_matrix(frac=True) @ jdkx(system, k)
+    work = jf.transpose() @ system.gram_matrix() @ jdkx(system, k)
     if k > 1:
         work = work @ jdkx_inverse(system, k - 1)
     work = work @ jf
@@ -126,7 +126,7 @@ def jdg_iv_in_full(system, g_key: str) -> str:
         if k is None:
             jdg = jacobian([apply_derivation(f, dx) for f in system.invariants])
             return lhs == -(inv @ jdg @ inv_jf)
-        det, adj = mat_det_adj(jdkx_inverse(system, k + 1).map(lambda e: e.as_poly()))
+        det, adj = mat_det_adj(jdkx_inverse(system, k + 1))
         return bool(det) and lhs.map(lambda e: e * det) == -(inv @ adj @ inv_jf)
 
     return _status(holds)
@@ -136,8 +136,8 @@ def equivariance_jdkx_in_full(system, k: int, g) -> bool:
     """g[J(D^k x)] = rho^-1 J(D^k x) rho for the stored generator g."""
     ell = system.rank
     jk = jdkx(system, k)
-    rho = Matrix.from_rational(g, ell, frac=True)
-    rho_inv = Matrix.from_rational(rat_mat_inv(g), ell, frac=True)
+    rho = Matrix.from_rational(g, ell)
+    rho_inv = Matrix.from_rational(rat_mat_inv(g), ell)
     return jk.map(lambda e: e.substitute_linear(g)) == rho_inv @ jk @ rho
 
 

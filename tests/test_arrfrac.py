@@ -12,7 +12,6 @@ from multider.exactpoly import (
     Poly,
     canonical_factor,
     divide_exact,
-    expand_factor_powers,
     mat_det_adj,
     pairs_equal,
     sum_pairs,
@@ -68,7 +67,7 @@ def test_gradient_pairs_match_an_independent_quotient_rule():
     den = {y1: 2, y1 - y2: 1, y1 + y2 + y3: 3, quad: 2, 2 * y1 - y3: 1}
     frac = ArrFrac(y1**3 * y3 - 2 * y2**2 * quad + y3 * Fraction(1, 3), den)
     assert frac.den == den
-    u = expand_factor_powers(3, den)
+    u = y1**2 * (y1 - y2) * (y1 + y2 + y3)**3 * quad**2 * (2 * y1 - y3)
     pairs = frac.gradient_pairs()
     assert len(pairs) == 3
     for i, (num, pair_den) in enumerate(pairs):
@@ -282,26 +281,32 @@ def test_product_pairs_equal_the_reduced_product():
     assert pairs[0][0] == (x2 + x1**2, {x1: 1, plus: 1})
 
 
-def test_short_and_long_numerators_lift_alike(monkeypatch):
-    # a short numerator is multiplied once by the expanded surplus, a long
-    # one by one factor power at a time; both give the numerator over the
-    # common denominator
-    expansions = []
+def test_every_lift_goes_factor_power_by_factor_power(monkeypatch):
+    # a short numerator and a long one take the one route: the numerator is
+    # multiplied by one cached factor power per surplus factor, and the
+    # surplus is never expanded
+    powers = []
+    real = exactpoly._factor_power
 
-    def counted(nvars, powers):
-        expansions.append(dict(powers))
-        return expand_factor_powers(nvars, powers)
+    def counted(f, e):
+        powers.append((f, e))
+        return real(f, e)
 
-    monkeypatch.setattr(exactpoly, "expand_factor_powers", counted)
+    monkeypatch.setattr(exactpoly, "_factor_power", counted)
     plus, minus = x1 + x2, x1 - x2
-    den = {plus: 1, minus: 1, x1 + 2 * x2: 1, x1 + 3 * x2: 1}
-    surplus = plus * minus * (x1 + 2 * x2) * (x1 + 3 * x2)
+    den = {plus: 1, minus: 2, x1 + 2 * x2: 1, x1 + 3 * x2: 1}
+    surplus = plus * minus**2 * (x1 + 2 * x2) * (x1 + 3 * x2)
     short, long = x1**3 - x2**3 + x1 * x2**2, (x1 + x2 + 1) ** 16
-    assert len(short) <= exactpoly._LONG_NUMERATOR < len(long)
+    assert len(short) < 8 < 128 < len(long)
     for num in (short, long):
-        expansions.clear()
         lifted = num * surplus
+        powers.clear()
+        assert exactpoly._lift(num, {}, den) == lifted
+        assert powers == list(den.items())
+        powers.clear()
+        assert exactpoly._lift(num, {minus: 1, plus: 1}, den) == num * minus * (
+            x1 + 2 * x2) * (x1 + 3 * x2)
+        assert powers == [(minus, 1), (x1 + 2 * x2, 1), (x1 + 3 * x2, 1)]
         assert sum_pairs(2, [(num, {}), (x2, den)]) == (lifted + x2, den)
         assert pairs_equal((num, {}), (lifted, den))
         assert not pairs_equal((num, {}), (lifted + x2**4, den))
-        assert bool(expansions) == (num is short)

@@ -59,7 +59,7 @@ def test_jf_inverse_is_memoised_and_holds_the_primitive_derivation():
         assert pairs[0][0][1] is not s.q_factor_map
         ell = s.rank
         inv = Matrix([[ArrFrac(*pair) for pair in row] for row in pairs])
-        one = Matrix.identity(ell, ell, frac=True)
+        one = Matrix.identity(ell, ell)
         assert s.jacobian_of_invariants() @ inv == one
         assert inv @ s.jacobian_of_invariants() == one
         assert primitive_dx(s) == tuple(inv[ell - 1])
@@ -198,7 +198,7 @@ def test_jacobian_of_invariants_b2():
 def test_jacobian_of_coordinates_is_identity():
     s = get_system("B3")
     j = jacobian(iterate_dkx(s, 0))
-    assert j == Matrix.identity(3, 3, frac=True)
+    assert j == Matrix.identity(3, 3)
 
 
 def test_jdx_b2_fixture():
@@ -269,7 +269,7 @@ def test_d4_even_column_degrees():
 def product_identity_holds(s, k, p_even):
     """P_{2k} J(D^k x) = Gram by one product over fractions, the certificate
     of the direct formula before D[P_{2k-1}] C_{2k} = -P_{2k-2}."""
-    return p_even.to_frac() @ jdkx(s, k) == s.gram_matrix(frac=True)
+    return p_even.to_frac() @ jdkx(s, k) == s.gram_matrix()
 
 
 def direct_formula_holds(s, m):
@@ -389,7 +389,7 @@ def test_recursive_odd_rule():
 def test_b1_type_b_formula():
     for rank in (2, 3, 4):
         s = get_system(f"B{rank}")
-        assert b_matrix(s, 1).matrix == golden.type_b_b1_matrix(rank)
+        assert b_matrix(s, 1) == golden.type_b_b1_matrix(rank)
 
 
 def test_bk_type_b_formula():
@@ -397,7 +397,7 @@ def test_bk_type_b_formula():
     for rank in (2, 3):
         s = get_system(f"B{rank}")
         for k in (2, 3):
-            mat = b_matrix(s, k).matrix
+            mat = b_matrix(s, k)
             for i in range(1, rank + 1):
                 for j in range(1, rank + 1):
                     coeff = k * (2 * i + 2 * j - 2) - 2 * i + 1
@@ -411,14 +411,14 @@ def test_b_routes_agree():
     for key in ("B2", "B3", "D4", "A3"):
         s = get_system(key)
         for k in (1, 2, 3, 4):
-            assert b_matrix(s, k).matrix == b_by_definition(s, k), (key, k)
+            assert b_matrix(s, k) == b_by_definition(s, k), (key, k)
 
 
 @pytest.mark.parametrize("s", catalog_entries(max_rank=4), ids=lambda s: s.key)
 def test_b1_equals_the_definition(s):
     # oracle: J(f)^T D[P_1] against the definition -J(f)^T Gram J(D x) J(f),
     # formed in full over fractions
-    assert b_matrix(s, 1).matrix == b_by_definition(s, 1)
+    assert b_matrix(s, 1) == b_by_definition(s, 1)
 
 
 def test_clear_caches_empties_every_memo():

@@ -14,7 +14,7 @@ from oracles import membership_by_division
 
 from multider import cli, saito, verify
 from multider.coxeter import CatalogError, CoxeterSystem, catalog_entries, get_system
-from multider.derivations import BMatrix, clear_caches, p_matrix, saito_certificate
+from multider.derivations import clear_caches, p_matrix, saito_certificate
 from multider.exactpoly import (
     Matrix,
     Poly,
@@ -70,7 +70,7 @@ def test_b_det_constant_equals_full_determinant(key):
     for k in (1, 2):
         recs = {r.name: r for r in verify_b_properties(s, k)}
         rec = recs[f"b({k}).det_constant"]
-        det = mat_det_adj(verify.b_matrix(s, k).matrix)[0]
+        det = mat_det_adj(verify.b_matrix(s, k))[0]
         assert rec.status == "pass" and rec.detail["constant"] == str(det.constant_value())
 
 
@@ -186,9 +186,9 @@ def test_b_det_constant_skipped_when_the_degrees_fail(monkeypatch):
         b = real(system, k)
         if k != 1:
             return b
-        rows = [[b.matrix[i][j] for j in range(2)] for i in range(2)]
+        rows = [[b[i][j] for j in range(2)] for i in range(2)]
         rows[0][0] = x1  # B^(1)_11 must vanish: its degree m_1 + m_1 - h is negative
-        return BMatrix(b.system_key, k, Matrix(rows))
+        return Matrix(rows)
 
     monkeypatch.setattr(verify, "b_matrix", doctored)
     recs = {r.name: r for r in verify_b_properties(s, 1)}

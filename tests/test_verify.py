@@ -372,7 +372,7 @@ def test_b_properties_b2():
     assert set(status.values()) == {"pass"}
     # B^(1)_{11} = 0 because 1 + 1 < l + 1 = 3
     from multider.derivations import b_matrix
-    assert not b_matrix(s, 1).matrix[0][0]
+    assert not b_matrix(s, 1)[0][0]
 
 
 def test_b_properties_d4_central_block():
