@@ -17,12 +17,15 @@ From these the module constructs:
   P_0 = Gram and P_m = P_{m-1} C_m, with the step matrix C_m = J(f) for
   odd m and -(B^(m/2))^{-1} P_1^T for even m (``step_matrix``; det B^(m/2)
   is a nonzero constant).  Columns have degree k*h (even m) or k*h + m_j
-  (odd m), k = m // 2.  That the columns are a basis is Saito's criterion
+  (odd m), k = m // 2.  Each step forms one entry per orbit of the
+  signed-permutation generators and re-keys the others from it (the fill
+  law at ``p_matrix``).  That the columns are a basis is Saito's criterion
   (``saito_certificate``), which needs nothing else.
 
 * ``saito_certificate``: Saito's criterion on the memoised P_m
   (membership, degree sum, one evaluation; see ``saito``), computed once
-  per P_m.  Its constant is det P_m / Q^m.
+  per P_m, with membership on one factor per orbit once P_m is proved
+  equivariant.  Its constant is det P_m / Q^m.
 
 * ``certify_direct_formula``: the direct formula C(k): P_{2k} J(D^k x) =
   Gram, from C(k - 1) by D[P_{2k-1}] C_{2k} = -P_{2k-2}, with no D^k x
@@ -56,6 +59,7 @@ perturbed or doctored input never reads another's record.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -72,6 +76,7 @@ from .exactpoly import (
     product_pair,
     rat_det,
     rat_mat_inv,
+    signed_permutation,
     sum_pairs,
 )
 from .saito import Certificate, certify
@@ -239,6 +244,86 @@ def jdkx(system: CoxeterSystem, k: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
+# the signed-permutation symmetry of a system
+# ---------------------------------------------------------------------------
+
+
+@_memoised
+def _signed_generators(system: CoxeterSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The stored generators that are signed permutations, each as its
+    images (pi(j), s_j) (``exactpoly.signed_permutation``).  They generate
+    all of W on B and D, the S_l of the coordinates on A_l, and the sign
+    and swap symmetries on I2(n)."""
+    return tuple(images for g in system.generators
+                 if (images := signed_permutation(g)) is not None)
+
+
+@_memoised
+def _transversal(system: CoxeterSystem, parity: int) -> tuple:
+    """The orbits of the signed-permutation subgroup on the positions of
+    P_m, m of this parity: an element sends (a, b) to (pi(a), pi(b)) for
+    even m and to (pi(a), b) for odd m.  One entry per orbit, in row-major
+    order of the representatives: ((a, b), fills), fills holding (target,
+    element, sign) per other position of the orbit, with target = the image
+    of (a, b) by the element (as images, ``_signed_generators``) and sign =
+    s_a s_b (even) or s_a (odd).  The elements are found by a breadth-first
+    search over the generators."""
+    ell = system.rank
+    generators = _signed_generators(system)
+    identity = tuple((j, 1) for j in range(ell))
+    reached: dict[tuple[int, int], tuple] = {}
+    orbits = []
+    for rep in itertools.product(range(ell), repeat=2):
+        if rep in reached:
+            continue
+        reached[rep] = identity
+        queue, fills = [rep], []
+        for a, b in queue:
+            h = reached[(a, b)]
+            for g in generators:
+                target = (g[a][0], g[b][0] if parity == 0 else b)
+                if target in reached:
+                    continue
+                # g h sends x_j to s x_pi(j) with pi = pi_g pi_h
+                element = tuple((g[p][0], s * g[p][1]) for p, s in h)
+                reached[target] = element
+                queue.append(target)
+                sign = element[rep[0]][1] * (element[rep[1]][1] if parity == 0 else 1)
+                fills.append((target, element, sign))
+        orbits.append((rep, tuple(fills)))
+    return tuple(orbits)
+
+
+@_memoised
+def _factor_orbits(system: CoxeterSystem) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the signed-permutation subgroup on system.factors, as
+    ascending factor indices, ordered by their first index.  A generator
+    sends a factor to plus or minus a factor: Q is anti-invariant, and a
+    signed permutation keeps the coefficients integer and coprime."""
+    factors = system.factors
+    index = {f: i for i, f in enumerate(factors)}
+    generators = _signed_generators(system)
+    seen: set[int] = set()
+    orbits = []
+    for first in range(len(factors)):
+        if first in seen:
+            continue
+        seen.add(first)
+        orbit = [first]
+        for i in orbit:
+            for g in generators:
+                image = factors[i].rekey(g)
+                j = index.get(image)
+                if j is None:
+                    j = index[-image]
+                if j not in seen:
+                    seen.add(j)
+                    orbit.append(j)
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
+# ---------------------------------------------------------------------------
 # the multiderivation basis matrices P_m
 # ---------------------------------------------------------------------------
 
@@ -272,7 +357,8 @@ def _wrong_degree(mat: Matrix, degrees) -> tuple[int, int] | None:
 
 @_memoised
 def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
-    """P_m by induction through the closed-form invariant matrices B^(k).
+    """P_m by induction through the closed-form invariant matrices B^(k),
+    one orbit of entries at a time (``_orbit_product``).
 
     Every entry is checked to be homogeneous of its column's degree.  An
     even step seeds the product record of ``certify_direct_formula`` with
@@ -281,6 +367,32 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
     P_2 certifies its direct formula C(1) here: the certificate reads the
     D[P_1] that B^(1) is built from, so a wrong B^(1) raises PipelineError.
     C(k) for k >= 2 is certified by the code that reads it.
+
+    The fill law.  Let rho be a stored generator that is a signed
+    permutation, sending x_j to s_j x_pi(j), and g[p](x) = p(rho^T x)
+    (``Poly.substitute_linear``).  Then g[P_m] = rho^T P_m rho for even m
+    and g[P_m] = rho^T P_m for odd m, that is, entry by entry,
+
+        P_pi(a)pi(b) = s_a s_b g[P_ab] (m even),  P_pi(a)b = s_a g[P_ab] (m odd).
+
+    Proof, by induction on m.  P_0 = Gram and rho^T Gram rho = Gram (the
+    catalog checks it).  Differentiating f(rho^T x) = f(x) for each basic
+    invariant gives rho g[J(f)] = J(f), so g[J(f)] = rho^{-1} J(f), and an
+    odd step gives g[P_{2k} J(f)] = rho^T P_{2k} rho rho^{-1} J(f).  By the
+    odd case at m = 1, g[P_1^T] = P_1^T rho; B^(k) is invariant (the
+    derivation D is, D f_i being constant), so g[C_{2k}] = C_{2k} rho and
+    g[P_{2k-1} C_{2k}] = rho^T P_{2k-1} C_{2k} rho.  The law passes to
+    products of generators (``saito.membership_failure``), so each entry
+    follows from one representative of its orbit under the group they
+    generate: the representative is a row-by-column product and every
+    other entry is re-keyed from it, with no arithmetic.  The product
+    record that an even step seeds rests on this law for the P_{2k-1} and
+    C_{2k} it read.  They obey it once C(k - 1) and the identity of C(k)
+    are certified (``certify_direct_formula``, which reads the record only
+    after both): P_{2k-2} is then Gram J(D^{k-1} x)^{-1}, equivariant as D
+    is invariant, P_{2k-1} its step by J(f), and C_{2k} = -D[P_{2k-1}]^{-1}
+    P_{2k-2}.  Saito's criterion proves the law again on every P_m it
+    certifies (``saito.equivariant``).
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -290,7 +402,7 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
     else:
         step = step_matrix(system, m)
         prev = p_matrix(system, m - 1).matrix
-        mat = prev @ step
+        mat = _orbit_product(system, prev, step, m % 2)
     degrees = _expected_degrees(system, m)
     bad = _wrong_degree(mat, degrees)
     if bad:
@@ -301,6 +413,23 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
     if m == 2:
         certify_direct_formula(system, 1, mat)
     return DerivationBasis(system.key, m, k, mat, degrees)
+
+
+def _orbit_product(system: CoxeterSystem, prev: Matrix, step: Matrix, parity: int) -> Matrix:
+    """prev @ step for the step of P_m of this parity, by the fill law of
+    ``p_matrix``: each representative entry is a row-by-column product, and
+    each other entry of its orbit the representative re-keyed by one group
+    element (``_transversal``)."""
+    ell = system.rank
+    rows: list[list] = [[None] * ell for _ in range(ell)]
+    for (a, b), fills in _transversal(system, parity):
+        entry = prev[a][0] * step[0][b]
+        for i in range(1, ell):
+            entry = entry + prev[a][i] * step[i][b]
+        rows[a][b] = entry
+        for (i, j), element, sign in fills:
+            rows[i][j] = entry.rekey(element, sign)
+    return Matrix(rows)
 
 
 # ``perfbench/tracer.py`` looks this name up; the inductive route is now the
@@ -328,9 +457,13 @@ def step_matrix(system: CoxeterSystem, m: int) -> Matrix:
 def saito_certificate(system: CoxeterSystem, basis: DerivationBasis) -> Certificate:
     """Saito's criterion for basis (``saito.certify``), recorded with the
     basis object it certified: once per memoised P_m, and again when
-    another basis (a doctored copy) came in between."""
-    return _recorded(("saito", system.key, basis.m), (basis,),
-                     lambda: certify(basis.matrix, system.factors, basis.m))
+    another basis (a doctored copy) came in between.  Membership is
+    decided on the first factor of each orbit (``_factor_orbits``) once
+    the basis is proved equivariant under the signed-permutation
+    generators; otherwise, and on any failure, on every factor."""
+    return _recorded(("saito", system.key, basis.m), (basis,), lambda: certify(
+        basis.matrix, system.factors, basis.m, _signed_generators(system),
+        tuple(orbit[0] for orbit in _factor_orbits(system))))
 
 
 def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> None:
@@ -360,8 +493,9 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> Non
     checked against P_{2k-1} C_{2k}.  Each check is a record (``_recorded``):
     the identity on (P_{2k-1}, C_{2k}, P_{2k-2}, D x), the product on
     (P_{2k}, P_{2k-1}, C_{2k}), which ``p_matrix`` seeds when it builds
-    P_{2k}.  So a doctored P_{2k} or C_{2k} fails, and the memoised P_{2k}
-    costs no product and, once certified, no identity.  At k = 1 it reads
+    P_{2k} (exact by its fill law once the identity holds).  So a doctored
+    P_{2k} or C_{2k} fails, and the memoised P_{2k} costs no product and,
+    once certified, no identity.  At k = 1 it reads
     the D[P_1] that B^(1) = J(f)^T D[P_1] was built from (``_d_p1``); the
     identity then holds exactly when C_2 = -(B^(1))^{-1} P_1^T for that
     B^(1), so a memoised B^(1) with a sign slip or a wrong entry fails it.

@@ -84,6 +84,7 @@ __all__ = [
     "det_at",
     "product_at",
     "binary_components",
+    "signed_permutation",
 ]
 
 _ZERO = Fraction(0)
@@ -348,33 +349,20 @@ class Poly:
         """Replace each x_j by sum_i matrix[i][j] * x_i.
 
         With matrix equal to the representing matrix of a group element this
-        is the contragredient action on polynomials.
+        is the contragredient action on polynomials.  A signed permutation
+        matrix (the reflection generators of B and D) is a re-keying
+        (``rekey``); any other runs ``_evaluate``.
         """
         n = self.nvars
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("substitution matrix size does not match nvars")
         if not self._t:
             return self
+        images = signed_permutation(matrix)
+        if images is not None:
+            return self.rekey(images)
+
         shifts, deg_shift, _ = _layout(n)
-
-        # Fast path: signed permutation matrices (ubiquitous as reflection
-        # generators): remap exponents and track the sign.
-        perm = _signed_permutation(matrix, n)
-        if perm is not None:
-            out: dict[int, int] = {}
-            for k, c in self._t.items():
-                key = k & ~(((1 << deg_shift) - 1))  # keep degree field
-                sign = 1
-                for j in range(n):
-                    e = (k >> shifts[j]) & _MASK
-                    if e:
-                        i, sgn = perm[j]
-                        key |= e << shifts[i]
-                        if sgn < 0 and (e & 1):
-                            sign = -sign
-                out[key] = c if sign > 0 else -c
-            return Poly._raw(n, out, self._d)
-
         images = []
         for j in range(n):
             ints, den = _over_lcm({
@@ -384,6 +372,23 @@ class Poly:
             })
             images.append(Poly._raw(n, ints, den))
         return self._evaluate(images)
+
+    def rekey(self, images: tuple[tuple[int, int], ...], sign: int = 1) -> "Poly":
+        """sign times self with each x_j replaced by s_j x_pi(j), images[j] =
+        (pi(j), s_j): the substitution of a signed permutation matrix
+        (``signed_permutation``).  Exponent fields move and signs flip, with
+        no arithmetic, by a plan built once per permutation (``_rekey_plan``)."""
+        if len(images) != self.nvars:
+            raise ValueError("need one image per variable")
+        keep, moves, odd = _rekey_plan(images)
+        flip = int(sign < 0)
+        out: dict[int, int] = {}
+        for k, c in self._t.items():
+            key = k & keep
+            for src, dst in moves:
+                key |= ((k >> src) & _MASK) << dst
+            out[key] = -c if ((k & odd).bit_count() ^ flip) & 1 else c
+        return Poly._raw(self.nvars, out, self._d)
 
     def substitute_polys(self, images: Sequence["Poly"]) -> "Poly":
         """Evaluate self at arbitrary polynomial arguments, one per variable."""
@@ -545,14 +550,16 @@ def _sum(a: Poly, b: Poly, sign: int) -> Poly:
     return _canon(a.nvars, out, den)
 
 
-def _signed_permutation(matrix, n) -> list[tuple[int, int]] | None:
-    """Return [(target index, sign)] per column when matrix is a signed permutation."""
-    perm: list[tuple[int, int]] = []
+def signed_permutation(matrix) -> tuple[tuple[int, int], ...] | None:
+    """(pi(j), s_j) for every column j when the square matrix is a signed
+    permutation, column j holding s_j = +-1 in row pi(j), so that it sends
+    x_j to s_j x_pi(j) (``Poly.rekey``); None otherwise."""
+    images: list[tuple[int, int]] = []
     seen = set()
-    for j in range(n):
+    for j in range(len(matrix)):
         hit = None
-        for i in range(n):
-            v = matrix[i][j]
+        for i, row in enumerate(matrix):
+            v = row[j]
             if v:
                 if hit is not None or v not in (1, -1):
                     return None
@@ -560,8 +567,29 @@ def _signed_permutation(matrix, n) -> list[tuple[int, int]] | None:
         if hit is None or hit[0] in seen:
             return None
         seen.add(hit[0])
-        perm.append(hit)
-    return perm
+        images.append(hit)
+    return tuple(images)
+
+
+@functools.lru_cache(maxsize=256)
+def _rekey_plan(images: tuple[tuple[int, int], ...]) -> tuple[int, tuple, int]:
+    """The plan of ``Poly.rekey`` for the signed permutation x_j -> s_j
+    x_pi(j), images[j] = (pi(j), s_j), built once per permutation: (keep,
+    moves, odd).  keep masks the degree field and the fields of the
+    variables that stay in place, moves holds (source shift, target shift)
+    of every other variable, and odd masks the low bit of the field of every
+    x_j sent to -x_pi(j), so a term changes sign exactly when an odd number
+    of those bits is set."""
+    shifts, deg_shift, _ = _layout(len(images))
+    keep, moves, odd = ~((1 << deg_shift) - 1), [], 0
+    for j, (i, s) in enumerate(images):
+        if i == j:
+            keep |= _MASK << shifts[j]
+        else:
+            moves.append((shifts[j], shifts[i]))
+        if s < 0:
+            odd |= 1 << shifts[j]
+    return keep, tuple(moves), odd
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ of D^(m)(A) (Ziegler 1989; Abe, Terao and Wakefield 2007) when
   (``exactpoly.power_divides``): an x_a exponent of at least m in every
   term for alpha = x_a, (t -+ 1)^m | g(t, 1) for every binary form g in
   x_a, x_b of theta_j(alpha) for alpha = x_a -+ x_b, and m divisions of
-  the x_a level form for any other alpha;
+  the x_a level form for any other alpha.  Given signed permutations
+  under which P is proved equivariant, one factor per orbit is enough;
 * degrees: every column is homogeneous and sum deg theta_j = m |A|;
 * evaluation: det P(p) != 0 at one rational point p off every hyperplane.
 
@@ -41,6 +42,7 @@ from .exactpoly import (
 __all__ = [
     "Certificate",
     "certify",
+    "equivariant",
     "evaluation_point",
     "membership_failure",
     "membership_witness",
@@ -48,20 +50,78 @@ __all__ = [
 ]
 
 
-def membership_failure(factors, matrix: Matrix, m: int) -> tuple[int, int, int, str] | None:
+def membership_failure(factors, matrix: Matrix, m: int, generators=(),
+                       representatives=None) -> tuple[int, int, int, str] | None:
     """None when every column lies in D^(m) along every factor, else
     (factor index, column index, divisions done, residual) of the first
-    failure, by factor and then by column."""
+    failure, by factor and then by column.
+
+    With representatives, the indices of one factor per orbit of the group
+    that generators generate (signed permutation matrices, given by their
+    images as in ``equivariant``), membership is decided on those factors
+    alone, once ``equivariant`` proves the law below for every generator.
+    If the proof or any representative fails, every factor is scanned, so
+    a failure is always the first one.
+
+    Proof.  Let rho send x_j to s_j x_pi(j), g[p](x) = p(rho^T x) the
+    substitution ``Poly.substitute_linear(rho)``, and let P satisfy g[P] =
+    rho^T P rho (m even) or g[P] = rho^T P (m odd), g applied entrywise.
+    The law passes to products, (rho_1 rho_2)[p] = rho_1[rho_2[p]] and the
+    constant rho_2 commutes with rho_1[.], so it holds for every element of
+    the group; as rho^T = rho^{-1}, g[alpha] = alpha o g^{-1} is the usual
+    action g alpha on linear forms.  For alpha = c . x the row of
+    theta_j(alpha) is c^T P, and g[alpha] = (rho c) . x.  As g fixes
+    constants, g[c^T P] = c^T g[P], which is (rho c)^T P rho or (rho c)^T
+    P: the row of theta_j(g[alpha]) is g[c^T P] rho^{-1} (m even) or
+    g[c^T P] (m odd).  g is a ring automorphism, so alpha^m |
+    theta_j(alpha) for every j gives g[alpha]^m | g[theta_j(alpha)], and
+    g[alpha]^m divides each constant combination of these, each
+    theta_j(g[alpha]).  So membership along alpha gives membership along g
+    alpha for every g, g^{-1} alpha among them: along the whole orbit.  The
+    generators permute the factors up to units (Q is anti-invariant, which
+    the catalog checks), so the orbit of a factor is factors up to units.
+    A factor q of degree > 1 stands for its mirror lines, alpha a root form
+    over C: g maps the lines of q onto those of the factor g[q], and the
+    argument runs line by line.
+    """
     if m == 0:
         return None
     columns = [[matrix[i][j] for i in range(matrix.rows)] for j in range(matrix.cols)]
+    if representatives is not None and equivariant(matrix, m, generators) and all(
+            _first_failure(factors[fi], columns, m) is None for fi in representatives):
+        return None
     for fi, q in enumerate(factors):
-        test = _line_test(q) if q.degree() == 1 else _orbit_test(q)
-        for j, column in enumerate(columns):
-            failure = test(column, m)
-            if failure is not None:
-                return fi, j, failure[0], failure[1]
+        failure = _first_failure(q, columns, m)
+        if failure is not None:
+            return fi, *failure
     return None
+
+
+def _first_failure(q: Poly, columns, m: int) -> tuple[int, int, str] | None:
+    """(column index, divisions done, residual) of the first column not in
+    D^(m) along the factor q."""
+    test = _line_test(q) if q.degree() == 1 else _orbit_test(q)
+    for j, column in enumerate(columns):
+        failure = test(column, m)
+        if failure is not None:
+            return j, *failure
+    return None
+
+
+def equivariant(matrix: Matrix, m: int, generators) -> bool:
+    """Whether g[P] = rho^T P rho (m even) or g[P] = rho^T P (m odd) for
+    every generator, a signed permutation matrix rho given by its images
+    (pi(j), s_j) (``exactpoly.signed_permutation``), g[p] =
+    p.substitute_linear(rho) = p.rekey(images).  Entry (a, b) of the law
+    reads s_a s_b g[P_ab] = P_pi(a)pi(b) or s_a g[P_ab] = P_pi(a)b, so each
+    entry is re-keyed once per generator and compared."""
+    for images in generators:
+        columns = tuple((b, 1) for b in range(len(images))) if m % 2 else images
+        for a, (pa, sa) in enumerate(images):
+            for b, (pb, sb) in enumerate(columns):
+                if matrix[a][b].rekey(images, sa * sb) != matrix[pa][pb]:
+                    return False
+    return True
 
 
 def membership_witness(factors, failure: tuple[int, int, int, str]) -> dict:
@@ -210,9 +270,12 @@ class Certificate(NamedTuple):
     witness: dict | None
 
 
-def certify(matrix: Matrix, factors, m: int) -> Certificate:
-    """Membership, then degrees and the evaluation (``saito_constant``)."""
-    failure = membership_failure(factors, matrix, m)
+def certify(matrix: Matrix, factors, m: int, generators=(),
+            representatives=None) -> Certificate:
+    """Membership (``membership_failure``, on one factor per orbit when the
+    representatives are given), then degrees and the evaluation
+    (``saito_constant``)."""
+    failure = membership_failure(factors, matrix, m, generators, representatives)
     if failure is not None:
         witness = {"condition": "membership", **membership_witness(factors, failure)}
         return Certificate(failure, None, witness)

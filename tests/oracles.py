@@ -16,6 +16,10 @@ C(k + 1); the tests compare the statuses.
 memoised J(D^k x), which the package checks as g[P_{2k}] = rho^T P_{2k}
 rho given C(k).
 
+``p_step_in_full`` is the step P_m = P_{m-1} C_m as one full matrix
+product, which ``p_matrix`` forms only at one entry per orbit of the
+signed-permutation symmetry; the tests compare the two.
+
 ``membership_by_division`` is Saito's membership test with m exact
 divisions (``strip_factor``) per hyperplane and column, as it ran before
 ``power_divides`` decided it; the tests compare the failure witnesses.
@@ -139,6 +143,12 @@ def equivariance_jdkx_in_full(system, k: int, g) -> bool:
     rho = Matrix.from_rational(g, ell)
     rho_inv = Matrix.from_rational(rat_mat_inv(g), ell)
     return jk.map(lambda e: e.substitute_linear(g)) == rho_inv @ jk @ rho
+
+
+def p_step_in_full(system, m: int) -> Matrix:
+    """P_{m-1} C_m, every entry a row-by-column product, from the memoised
+    P_{m-1} and C_m."""
+    return derivations.p_matrix(system, m - 1).matrix @ derivations.step_matrix(system, m)
 
 
 def membership_by_division(factors, matrix: Matrix, m: int):

@@ -188,6 +188,24 @@ def suite_json_writer(count: int, seed: int = 108) -> int:
     return count
 
 
+def suite_rekey_matches_evaluate(count: int, seed: int = 109) -> int:
+    """A signed permutation matrix re-keys the terms (``Poly.rekey``, the
+    route of ``substitute_linear`` for it); the general route substitutes
+    the images s_j x_pi(j) term by term (``substitute_polys``)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nv = rng.randint(1, 5)
+        p = random_poly(rng, nv)
+        targets = rng.sample(range(nv), nv)
+        signs = [rng.choice((1, -1)) for _ in range(nv)]
+        matrix = [[signs[j] if targets[j] == i else 0 for j in range(nv)] for i in range(nv)]
+        images = [Poly.variable(nv, targets[j]) * signs[j] for j in range(nv)]
+        expected = p.substitute_polys(images)
+        assert p.substitute_linear(matrix) == expected
+        assert p.rekey(tuple(zip(targets, signs)), -1) == -expected
+    return count
+
+
 ALL_SUITES = (
     ("ring_axioms", suite_ring_axioms),
     ("partials_commute", suite_partials_commute),
@@ -197,4 +215,5 @@ ALL_SUITES = (
     ("divide_roundtrip", suite_divide_roundtrip),
     ("reduction_invariant", suite_reduction_invariant),
     ("json_writer", suite_json_writer),
+    ("rekey_matches_evaluate", suite_rekey_matches_evaluate),
 )

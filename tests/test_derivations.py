@@ -8,7 +8,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from oracles import b_by_definition, doubled_entry, perturb_p_memo
+from oracles import b_by_definition, doubled_entry, p_step_in_full, perturb_p_memo
 
 from multider import golden
 from multider.coxeter import catalog_entries, get_system, symmetric_polys
@@ -26,8 +26,16 @@ from multider.derivations import (
     jf_inverse,
     p_matrix,
     primitive_dx,
+    saito_certificate,
 )
-from multider.exactpoly import ArrFrac, Matrix, Poly, is_constant_multiple
+from multider.exactpoly import (
+    ArrFrac,
+    Matrix,
+    Poly,
+    canonical_factor,
+    is_constant_multiple,
+    signed_permutation,
+)
 from multider.verify import verify_b_properties, verify_jdg_identities, verify_recursion
 
 x1 = Poly.variable(2, 0)
@@ -374,6 +382,75 @@ def test_reader_of_the_memoised_p_even_forms_no_product(monkeypatch, key, top):
     p_even = p_matrix(s, 2 * top).matrix
     certify_direct_formula(s, top, Matrix([list(p_even[i]) for i in range(s.rank)]))
     assert any(a is factors[top][0] and b is factors[top][1] for a, b in products)
+
+
+# the steps of P_m that the orbit fill covers, and the top m of each within
+# the tier-1 budget (A4 at m 8 takes about 1 s with its oracle products)
+FILL_CASES = [("A1", 8), ("A2", 8), ("A3", 8), ("A4", 8), ("B2", 8), ("B3", 8), ("B4", 8),
+              ("D3", 8), ("D4", 8), ("B5", 4), ("D5", 4)] + [
+              (f"I2({n})", 8) for n in range(3, 9)]
+
+
+@pytest.mark.parametrize("key, top", FILL_CASES)
+def test_orbit_filled_steps_equal_the_full_product(key, top):
+    # every entry off the representatives is a representative re-keyed;
+    # the full product P_{m-1} C_m is the oracle, at odd and even m
+    s = get_system(key)
+    for m in range(1, top + 1):
+        assert p_matrix(s, m).matrix == p_step_in_full(s, m), m
+
+
+def test_orbit_fill_carries_the_signs_of_the_element(monkeypatch):
+    # the breadth-first transversals of the stored generators reach every
+    # catalog position with s_a s_b = 1 (and s_a = 1); the rotation x1 ->
+    # x2, x2 -> -x1 of W(B2) alone reaches (1, 0) from (0, 1) with sign -1
+    # and row 1 from row 0 with sign -1, so the fill must carry them
+    s = get_system("B2")
+    clear_caches()
+    monkeypatch.setitem(derivations._cache, ("_signed_generators", "B2"), (((1, -1), (0, 1)),))
+    signs = {sign for parity in (0, 1)
+             for _, fills in derivations._transversal(s, parity) for _, _, sign in fills}
+    assert signs == {1, -1}
+    for m in range(1, 5):
+        assert p_matrix(s, m).matrix == p_step_in_full(s, m), m
+    assert saito_certificate(s, p_matrix(s, 4)).witness is None
+    clear_caches()
+
+
+def _orbits_by_union(system):
+    """The orbits of the signed-permutation generators on the factors,
+    as the classes of the relation f ~ g[f] (a union-find)."""
+    factors = system.factors
+    index = {f: i for i, f in enumerate(factors)}
+    parent = list(range(len(factors)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for g in system.generators:
+        if signed_permutation(g) is None:
+            continue
+        for i, f in enumerate(factors):
+            parent[root(i)] = root(index[canonical_factor(f.substitute_linear(g))[0]])
+    classes = {}
+    for i in range(len(factors)):
+        classes.setdefault(root(i), []).append(i)
+    return sorted(tuple(c) for c in classes.values())
+
+
+@pytest.mark.parametrize("key", [s.key for s in catalog_entries()])
+def test_factor_orbits_partition_the_factors(key):
+    s = get_system(key)
+    orbits = derivations._factor_orbits(s)
+    assert sorted(i for orbit in orbits for i in orbit) == list(range(len(s.factors)))
+    assert sorted(orbits) == _orbits_by_union(s)
+    # A: the x_i - x_j and the wide forms; B: the x_i and the x_i +- x_j;
+    # D: one orbit
+    expected = {"A": 2, "B": 2, "D": 1}.get(s.family)
+    if expected is not None and s.rank >= 2:
+        assert len(orbits) == expected
 
 
 def test_recursive_odd_rule():

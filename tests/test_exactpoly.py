@@ -16,6 +16,7 @@ from multider.exactpoly import (
     poly_from_records,
     poly_to_records,
     power_divides,
+    signed_permutation,
     strip_factor,
 )
 
@@ -132,6 +133,18 @@ def test_substitute_against_term_by_term_expansion():
 def test_substitute_size_mismatch():
     with pytest.raises(ValueError):
         x1.substitute_linear([[1]])
+    with pytest.raises(ValueError):
+        x1.rekey(((0, 1),))
+
+
+def test_signed_permutation_reads_images_or_refuses():
+    assert signed_permutation([[0, -1], [1, 0]]) == ((1, 1), (0, -1))
+    assert signed_permutation([[Fraction(-1), 0], [0, Fraction(1)]]) == ((0, -1), (1, 1))
+    # a general matrix, a scaled entry, a repeated row and a zero column
+    for matrix in ([[1, 1], [0, 1]], [[2, 0], [0, 1]], [[1, 1], [0, 0]], [[1, 0], [0, 0]]):
+        assert signed_permutation(matrix) is None
+    # x1 -> x2, x2 -> -x1, times -1
+    assert (x1 * x2**2 + x1).rekey(((1, 1), (0, -1)), -1) == -(x2 * x1**2 + x2)
 
 
 def test_is_constant_multiple():

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 from oracles import membership_by_division
 
-from multider import cli, saito, verify
+from multider import cli, derivations, saito, verify
 from multider.coxeter import CatalogError, CoxeterSystem, catalog_entries, get_system
 from multider.derivations import clear_caches, p_matrix, saito_certificate
 from multider.exactpoly import (
@@ -23,7 +23,7 @@ from multider.exactpoly import (
     power_divides,
     strip_factor,
 )
-from multider.saito import evaluation_point, membership_failure
+from multider.saito import certify, equivariant, evaluation_point, membership_failure
 from multider.verify import verify_b_properties, verify_nesting, verify_ziegler
 
 CATALOG = [s.key for s in catalog_entries()]
@@ -260,6 +260,52 @@ def test_membership_witness_matches_the_division_oracle(key, m):
         mat = doctored(basis, position).matrix
         failure = membership_failure(s.factors, mat, m)
         assert failure is not None and failure == membership_by_division(s.factors, mat, m)
+
+
+def _witness_bytes(cert) -> str:
+    return json.dumps(cert.witness, indent=2)
+
+
+@pytest.mark.parametrize("key", ["A3", "B4", "D4"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_fault_off_or_on_a_representative_keeps_the_full_scan_witness(key, m):
+    # the orbit route proves membership on one factor per orbit only after
+    # the equivariance step; a changed entry off the representatives fails
+    # that step, one on a representative fails it or the representative,
+    # and either way the witness is the one of the full scan
+    s = get_system(key)
+    basis = p_matrix(s, m)
+    (rep, fills), = [orbit for orbit in derivations._transversal(s, m % 2)
+                     if orbit[0] == (0, 0)]
+    off = fills[-1][0]
+    for position in (rep, off):
+        doctored_basis = doctored(basis, position)
+        mat = doctored_basis.matrix
+        cert = saito_certificate(s, doctored_basis)
+        full = certify(mat, s.factors, m)
+        assert cert.membership is not None
+        assert cert.membership == full.membership == membership_by_division(s.factors, mat, m)
+        assert _witness_bytes(cert) == _witness_bytes(full)
+        if position == off:
+            assert not equivariant(mat, m, derivations._signed_generators(s))
+
+
+@pytest.mark.parametrize("key", ["A3", "B4", "D4"])
+def test_equivariant_matrix_outside_the_module_keeps_the_full_scan_witness(key):
+    # P_4 + Gram f_1^(d/2), d the column degree of P_4: Gram times an
+    # invariant obeys the law of an even step, so the equivariance step
+    # passes and a representative factor fails
+    s = get_system(key)
+    basis = p_matrix(s, 4)
+    f1 = s.invariants[0] ** (basis.degrees[0] // 2)
+    gram = s.gram_matrix()
+    mat = basis.matrix + gram.map(lambda c: c * f1)
+    assert equivariant(mat, 4, derivations._signed_generators(s))
+    cert = saito_certificate(s, replace(basis, matrix=mat))
+    full = certify(mat, s.factors, 4)
+    assert cert.membership is not None
+    assert cert.membership == full.membership == membership_by_division(s.factors, mat, 4)
+    assert _witness_bytes(cert) == _witness_bytes(full)
 
 
 def test_passing_basis_is_certified_without_divisions(monkeypatch, capsys):
