@@ -6,7 +6,13 @@ and carries everything the derivation pipeline needs: the hyperplane
 factors, the defining polynomial Q, the basic invariants f_1 <= ... <= f_l
 (by degree), the exponents and Coxeter number, the Gram matrix of the
 invariant form in these coordinates, and matrices for a set of generating
-reflections.
+reflections.  It also carries the symmetry that the pipeline exploits,
+built once with the entry: the generators that are signed permutations,
+as images (``signed_generators``; they generate all of W on B and D, the
+S_l of the coordinates on A_l, and the sign and swap symmetries on
+I2(n)), the orbits of the factors under them (``factor_orbits``), and per
+parity of m the orbits of the positions of P_m with one group element per
+position (``transversals``).
 
 The types E6..E8, F4, H3 and H4 are intentionally absent: their invariant
 data is not part of this catalog.
@@ -20,10 +26,12 @@ at construction time rather than trusted:
 * every basic invariant is fixed by every stored generator;
 * the Gram matrix is symmetric positive definite and invariant under the
   generators;
-* Q is anti-invariant under each generator (tested factor by factor);
+* Q is anti-invariant under each generator (tested factor by factor,
+  which gives the permutation of the factors that builds the orbits);
 * det J(f) is a nonzero constant multiple of Q (the constant is stored),
-  by Saito's criterion on P_1 = Gram J(f) (``saito``): its columns are in
-  D(A) (by an exact divisibility test along every factor), their degrees
+  by Saito's criterion on P_1 = Gram J(f) (``saito.certify``, the route
+  of every P_m): its columns are in D(A) (by an exact divisibility test,
+  on one factor per orbit once P_1 is proved equivariant), their degrees
   m_j sum to |A|, and det J(f) is nonzero at one point.
 
 Conventions worth knowing when comparing output against other sources:
@@ -57,9 +65,10 @@ from .exactpoly import (
     divide_exact,
     rat_det,
     rat_mat_mul,
+    signed_permutation,
     sorted_factors,
 )
-from .saito import membership_failure, membership_witness, saito_constant
+from .saito import certify, membership_witness
 
 __all__ = [
     "CoxeterSystem",
@@ -92,6 +101,9 @@ class CoxeterSystem:
         "_q_poly",
         "det_jf_constant",
         "orbit_level",
+        "signed_generators",
+        "factor_orbits",
+        "transversals",
     )
 
     def __init__(self, key, family, rank, factors, invariants, exponents, gram,
@@ -109,6 +121,13 @@ class CoxeterSystem:
         )
         self._q_poly = None
         self.orbit_level = any(f.degree() > 1 for f in self.factors)
+        permutations = _check_entry(self)
+        images = [signed_permutation(g) for g in self.generators]
+        self.signed_generators = tuple(i for i in images if i is not None)
+        self.factor_orbits = _orbits(
+            len(self.factors), [p for i, p in zip(images, permutations) if i is not None])
+        self.transversals = tuple(_transversal(rank, self.signed_generators, parity)
+                                  for parity in (0, 1))
         self.det_jf_constant = _certify(self)
 
     @property
@@ -363,7 +382,10 @@ def _build_i2(m: int) -> CoxeterSystem:
 # ---------------------------------------------------------------------------
 
 
-def _certify(system: CoxeterSystem) -> Fraction:
+def _check_entry(system: CoxeterSystem) -> list[tuple[int, ...]]:
+    """The numerology, the form and the generators of an entry, checked;
+    returns the permutation of the factors by each generator
+    (``_check_anti_invariance``)."""
     ell = system.rank
     degs = [f.degree() for f in system.invariants]
     if degs != sorted(degs):
@@ -387,50 +409,114 @@ def _certify(system: CoxeterSystem) -> Fraction:
         if rat_det(minor) <= 0:
             raise CatalogError(f"{system.key}: Gram matrix not positive definite")
 
+    permutations = []
     for g in system.generators:
         if rat_mat_mul(rat_mat_mul(_transpose(g), system.gram), g) != system.gram:
             raise CatalogError(f"{system.key}: generator does not preserve the form")
         for f in system.invariants:
             if f.substitute_linear(g) != f:
                 raise CatalogError(f"{system.key}: invariant not fixed by a generator")
-        _check_anti_invariance(system, g)
+        permutations.append(_check_anti_invariance(system, g))
+    return permutations
 
-    # Saito's criterion at m = 1 on P_1 = Gram J(f), whose column j has
-    # degree m_j: membership, sum m_j = |A| (checked above) and one
-    # evaluation give det P_1 = det Gram det J(f) = c Q.
-    jf = system.jacobian_of_invariants()
-    failure = membership_failure(system.factors, system.gram_matrix() @ jf, 1)
-    if failure is not None:
+
+def _certify(system: CoxeterSystem) -> Fraction:
+    """det J(f) / Q, by Saito's criterion at m = 1 on P_1 = Gram J(f)
+    (``saito.certify``), whose column j has degree m_j: membership, sum
+    m_j = |A| (``_check_entry``) and one evaluation give det P_1 = det
+    Gram det J(f) = c Q."""
+    cert = certify(system.gram_matrix() @ system.jacobian_of_invariants(), system, 1)
+    if cert.membership is not None:
         raise CatalogError(f"{system.key}: a column of Gram J(f) is not in D(A): "
-                           f"{membership_witness(system.factors, failure)}")
-    # J(f) has the column degrees of P_1 and det J(f)(p) != 0 iff det P_1(p) != 0
-    constant, witness = saito_constant(jf, system.factors, 1)
-    if constant is None:
+                           f"{membership_witness(system.factors, cert.membership)}")
+    if cert.constant is None:
         raise CatalogError(
-            f"{system.key}: det J(f) is not a nonzero constant multiple of Q: {witness}"
+            f"{system.key}: det J(f) is not a nonzero constant multiple of Q: {cert.witness}"
         )
-    return constant
+    return cert.constant / rat_det(system.gram)
 
 
-def _check_anti_invariance(system: CoxeterSystem, g) -> None:
-    """Q(g x) = det(g) Q(x), tested factor by factor.
+def _check_anti_invariance(system: CoxeterSystem, g) -> tuple[int, ...]:
+    """Q(g x) = det(g) Q(x), tested factor by factor; returns the
+    permutation that g induces on the factors, by index.
 
     Each factor's image is scale * canonical factor; by unique
     factorisation Q is anti-invariant iff the canonical images permute
     the stored factors and the scales multiply to det(g).  This avoids
     substituting the expanded Q.
     """
+    index = {f: i for i, f in enumerate(system.factors)}
     images = [canonical_factor(f.substitute_linear(g)) for f in system.factors]
+    permutation = tuple(index.get(f) for f, _ in images)
     scale = Fraction(1)
     for _, s in images:
         scale *= s
-    if {f for f, _ in images} != set(system.factors) or scale != rat_det(g):
+    if None in permutation or len(set(permutation)) != len(index) or scale != rat_det(g):
         raise CatalogError(f"{system.key}: Q not anti-invariant under a generator")
+    return permutation
 
 
 def _transpose(g):
     n = len(g)
     return tuple(tuple(g[j][i] for j in range(n)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# the signed-permutation symmetry of an entry
+# ---------------------------------------------------------------------------
+
+
+def _orbits(n: int, permutations) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the group that the permutations generate on n
+    factors, as ascending factor indices, ordered by their first index."""
+    seen: set[int] = set()
+    orbits = []
+    for first in range(n):
+        if first in seen:
+            continue
+        seen.add(first)
+        orbit = [first]
+        for i in orbit:
+            for permutation in permutations:
+                j = permutation[i]
+                if j not in seen:
+                    seen.add(j)
+                    orbit.append(j)
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
+def _transversal(rank: int, generators, parity: int) -> tuple:
+    """The orbits of the group that generators generate (signed
+    permutations, as images) on the positions of P_m, m of this parity: an
+    element sends (a, b) to (pi(a), pi(b)) for even m and to (pi(a), b)
+    for odd m.  One entry per orbit, in row-major order of the
+    representatives: ((a, b), fills), fills holding (target, element, sign)
+    per other position of the orbit, with target = the image of (a, b) by
+    the element (as images) and sign = s_a s_b (even) or s_a (odd).  The
+    elements are found by a breadth-first search over the generators."""
+    identity = tuple((j, 1) for j in range(rank))
+    reached: dict[tuple[int, int], tuple] = {}
+    orbits = []
+    for rep in itertools.product(range(rank), repeat=2):
+        if rep in reached:
+            continue
+        reached[rep] = identity
+        queue, fills = [rep], []
+        for a, b in queue:
+            h = reached[(a, b)]
+            for g in generators:
+                target = (g[a][0], g[b][0] if parity == 0 else b)
+                if target in reached:
+                    continue
+                # g h sends x_j to s x_pi(j) with pi = pi_g pi_h
+                element = tuple((g[p][0], s * g[p][1]) for p, s in h)
+                reached[target] = element
+                queue.append(target)
+                sign = element[rep[0]][1] * (element[rep[1]][1] if parity == 0 else 1)
+                fills.append((target, element, sign))
+        orbits.append((rep, tuple(fills)))
+    return tuple(orbits)
 
 
 # ---------------------------------------------------------------------------

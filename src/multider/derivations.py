@@ -19,13 +19,14 @@ From these the module constructs:
   is a nonzero constant).  Columns have degree k*h (even m) or k*h + m_j
   (odd m), k = m // 2.  Each step forms one entry per orbit of the
   signed-permutation generators and re-keys the others from it (the fill
-  law at ``p_matrix``).  That the columns are a basis is Saito's criterion
-  (``saito_certificate``), which needs nothing else.
+  law at ``p_matrix``), by the transversals of the catalog entry.  That
+  the columns are a basis is Saito's criterion (``saito_certificate``),
+  which needs nothing else.
 
 * ``saito_certificate``: Saito's criterion on the memoised P_m
   (membership, degree sum, one evaluation; see ``saito``), computed once
-  per P_m, with membership on one factor per orbit once P_m is proved
-  equivariant.  Its constant is det P_m / Q^m.
+  per P_m, with membership on one factor per orbit of the entry once P_m
+  is proved equivariant.  Its constant is det P_m / Q^m.
 
 * ``certify_direct_formula``: the direct formula C(k): P_{2k} J(D^k x) =
   Gram, from C(k - 1) by D[P_{2k-1}] C_{2k} = -P_{2k-2}, with no D^k x
@@ -59,7 +60,6 @@ perturbed or doctored input never reads another's record.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -76,7 +76,6 @@ from .exactpoly import (
     product_pair,
     rat_det,
     rat_mat_inv,
-    signed_permutation,
     sum_pairs,
 )
 from .saito import Certificate, certify
@@ -244,86 +243,6 @@ def jdkx(system: CoxeterSystem, k: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# the signed-permutation symmetry of a system
-# ---------------------------------------------------------------------------
-
-
-@_memoised
-def _signed_generators(system: CoxeterSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The stored generators that are signed permutations, each as its
-    images (pi(j), s_j) (``exactpoly.signed_permutation``).  They generate
-    all of W on B and D, the S_l of the coordinates on A_l, and the sign
-    and swap symmetries on I2(n)."""
-    return tuple(images for g in system.generators
-                 if (images := signed_permutation(g)) is not None)
-
-
-@_memoised
-def _transversal(system: CoxeterSystem, parity: int) -> tuple:
-    """The orbits of the signed-permutation subgroup on the positions of
-    P_m, m of this parity: an element sends (a, b) to (pi(a), pi(b)) for
-    even m and to (pi(a), b) for odd m.  One entry per orbit, in row-major
-    order of the representatives: ((a, b), fills), fills holding (target,
-    element, sign) per other position of the orbit, with target = the image
-    of (a, b) by the element (as images, ``_signed_generators``) and sign =
-    s_a s_b (even) or s_a (odd).  The elements are found by a breadth-first
-    search over the generators."""
-    ell = system.rank
-    generators = _signed_generators(system)
-    identity = tuple((j, 1) for j in range(ell))
-    reached: dict[tuple[int, int], tuple] = {}
-    orbits = []
-    for rep in itertools.product(range(ell), repeat=2):
-        if rep in reached:
-            continue
-        reached[rep] = identity
-        queue, fills = [rep], []
-        for a, b in queue:
-            h = reached[(a, b)]
-            for g in generators:
-                target = (g[a][0], g[b][0] if parity == 0 else b)
-                if target in reached:
-                    continue
-                # g h sends x_j to s x_pi(j) with pi = pi_g pi_h
-                element = tuple((g[p][0], s * g[p][1]) for p, s in h)
-                reached[target] = element
-                queue.append(target)
-                sign = element[rep[0]][1] * (element[rep[1]][1] if parity == 0 else 1)
-                fills.append((target, element, sign))
-        orbits.append((rep, tuple(fills)))
-    return tuple(orbits)
-
-
-@_memoised
-def _factor_orbits(system: CoxeterSystem) -> tuple[tuple[int, ...], ...]:
-    """The orbits of the signed-permutation subgroup on system.factors, as
-    ascending factor indices, ordered by their first index.  A generator
-    sends a factor to plus or minus a factor: Q is anti-invariant, and a
-    signed permutation keeps the coefficients integer and coprime."""
-    factors = system.factors
-    index = {f: i for i, f in enumerate(factors)}
-    generators = _signed_generators(system)
-    seen: set[int] = set()
-    orbits = []
-    for first in range(len(factors)):
-        if first in seen:
-            continue
-        seen.add(first)
-        orbit = [first]
-        for i in orbit:
-            for g in generators:
-                image = factors[i].rekey(g)
-                j = index.get(image)
-                if j is None:
-                    j = index[-image]
-                if j not in seen:
-                    seen.add(j)
-                    orbit.append(j)
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
-
-
-# ---------------------------------------------------------------------------
 # the multiderivation basis matrices P_m
 # ---------------------------------------------------------------------------
 
@@ -382,7 +301,7 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
     odd case at m = 1, g[P_1^T] = P_1^T rho; B^(k) is invariant (the
     derivation D is, D f_i being constant), so g[C_{2k}] = C_{2k} rho and
     g[P_{2k-1} C_{2k}] = rho^T P_{2k-1} C_{2k} rho.  The law passes to
-    products of generators (``saito.membership_failure``), so each entry
+    products of generators (``saito.certify``), so each entry
     follows from one representative of its orbit under the group they
     generate: the representative is a row-by-column product and every
     other entry is re-keyed from it, with no arithmetic.  The product
@@ -419,10 +338,10 @@ def _orbit_product(system: CoxeterSystem, prev: Matrix, step: Matrix, parity: in
     """prev @ step for the step of P_m of this parity, by the fill law of
     ``p_matrix``: each representative entry is a row-by-column product, and
     each other entry of its orbit the representative re-keyed by one group
-    element (``_transversal``)."""
+    element (``CoxeterSystem.transversals``)."""
     ell = system.rank
     rows: list[list] = [[None] * ell for _ in range(ell)]
-    for (a, b), fills in _transversal(system, parity):
+    for (a, b), fills in system.transversals[parity]:
         entry = prev[a][0] * step[0][b]
         for i in range(1, ell):
             entry = entry + prev[a][i] * step[i][b]
@@ -457,13 +376,9 @@ def step_matrix(system: CoxeterSystem, m: int) -> Matrix:
 def saito_certificate(system: CoxeterSystem, basis: DerivationBasis) -> Certificate:
     """Saito's criterion for basis (``saito.certify``), recorded with the
     basis object it certified: once per memoised P_m, and again when
-    another basis (a doctored copy) came in between.  Membership is
-    decided on the first factor of each orbit (``_factor_orbits``) once
-    the basis is proved equivariant under the signed-permutation
-    generators; otherwise, and on any failure, on every factor."""
-    return _recorded(("saito", system.key, basis.m), (basis,), lambda: certify(
-        basis.matrix, system.factors, basis.m, _signed_generators(system),
-        tuple(orbit[0] for orbit in _factor_orbits(system))))
+    another basis (a doctored copy) came in between."""
+    return _recorded(("saito", system.key, basis.m), (basis,),
+                     lambda: certify(basis.matrix, system, basis.m))
 
 
 def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> None:

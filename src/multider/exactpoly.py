@@ -292,9 +292,6 @@ class Poly:
             return self - Poly.const(self.nvars, other)
         return NotImplemented
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self) -> "Poly":
         return Poly._raw(self.nvars, {k: -c for k, c in self._t.items()}, self._d)
 
@@ -1103,9 +1100,6 @@ class ArrFrac:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self) -> int:
-        return hash((self.num, frozenset(self.den.items())))
-
     # -- arithmetic -----------------------------------------------------------
 
     @staticmethod
@@ -1128,16 +1122,11 @@ class ArrFrac:
             self.nvars, [(self.num, self.den), (other.num, other.den)]
         ))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._coerce(other, self.nvars)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self) -> "ArrFrac":
         return ArrFrac._raw(-self.num, dict(self.den))

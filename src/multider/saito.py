@@ -9,8 +9,9 @@ of D^(m)(A) (Ziegler 1989; Abe, Terao and Wakefield 2007) when
   (``exactpoly.power_divides``): an x_a exponent of at least m in every
   term for alpha = x_a, (t -+ 1)^m | g(t, 1) for every binary form g in
   x_a, x_b of theta_j(alpha) for alpha = x_a -+ x_b, and m divisions of
-  the x_a level form for any other alpha.  Given signed permutations
-  under which P is proved equivariant, one factor per orbit is enough;
+  the x_a level form for any other alpha.  Once P is proved equivariant
+  under the signed permutations of the catalog entry, one factor per
+  orbit is enough (``certify``);
 * degrees: every column is homogeneous and sum deg theta_j = m |A|;
 * evaluation: det P(p) != 0 at one rational point p off every hyperplane.
 
@@ -50,51 +51,22 @@ __all__ = [
 ]
 
 
-def membership_failure(factors, matrix: Matrix, m: int, generators=(),
-                       representatives=None) -> tuple[int, int, int, str] | None:
+def membership_failure(factors, matrix: Matrix, m: int) -> tuple[int, int, int, str] | None:
     """None when every column lies in D^(m) along every factor, else
     (factor index, column index, divisions done, residual) of the first
-    failure, by factor and then by column.
+    failure, by factor and then by column."""
+    return next(_failures(factors, range(len(factors)), matrix, m), None)
 
-    With representatives, the indices of one factor per orbit of the group
-    that generators generate (signed permutation matrices, given by their
-    images as in ``equivariant``), membership is decided on those factors
-    alone, once ``equivariant`` proves the law below for every generator.
-    If the proof or any representative fails, every factor is scanned, so
-    a failure is always the first one.
 
-    Proof.  Let rho send x_j to s_j x_pi(j), g[p](x) = p(rho^T x) the
-    substitution ``Poly.substitute_linear(rho)``, and let P satisfy g[P] =
-    rho^T P rho (m even) or g[P] = rho^T P (m odd), g applied entrywise.
-    The law passes to products, (rho_1 rho_2)[p] = rho_1[rho_2[p]] and the
-    constant rho_2 commutes with rho_1[.], so it holds for every element of
-    the group; as rho^T = rho^{-1}, g[alpha] = alpha o g^{-1} is the usual
-    action g alpha on linear forms.  For alpha = c . x the row of
-    theta_j(alpha) is c^T P, and g[alpha] = (rho c) . x.  As g fixes
-    constants, g[c^T P] = c^T g[P], which is (rho c)^T P rho or (rho c)^T
-    P: the row of theta_j(g[alpha]) is g[c^T P] rho^{-1} (m even) or
-    g[c^T P] (m odd).  g is a ring automorphism, so alpha^m |
-    theta_j(alpha) for every j gives g[alpha]^m | g[theta_j(alpha)], and
-    g[alpha]^m divides each constant combination of these, each
-    theta_j(g[alpha]).  So membership along alpha gives membership along g
-    alpha for every g, g^{-1} alpha among them: along the whole orbit.  The
-    generators permute the factors up to units (Q is anti-invariant, which
-    the catalog checks), so the orbit of a factor is factors up to units.
-    A factor q of degree > 1 stands for its mirror lines, alpha a root form
-    over C: g maps the lines of q onto those of the factor g[q], and the
-    argument runs line by line.
-    """
+def _failures(factors, indices, matrix: Matrix, m: int):
+    """The first failure along each of the factors at indices, in order."""
     if m == 0:
-        return None
+        return
     columns = [[matrix[i][j] for i in range(matrix.rows)] for j in range(matrix.cols)]
-    if representatives is not None and equivariant(matrix, m, generators) and all(
-            _first_failure(factors[fi], columns, m) is None for fi in representatives):
-        return None
-    for fi, q in enumerate(factors):
-        failure = _first_failure(q, columns, m)
+    for fi in indices:
+        failure = _first_failure(factors[fi], columns, m)
         if failure is not None:
-            return fi, *failure
-    return None
+            yield fi, *failure
 
 
 def _first_failure(q: Poly, columns, m: int) -> tuple[int, int, str] | None:
@@ -270,13 +242,43 @@ class Certificate(NamedTuple):
     witness: dict | None
 
 
-def certify(matrix: Matrix, factors, m: int, generators=(),
-            representatives=None) -> Certificate:
-    """Membership (``membership_failure``, on one factor per orbit when the
-    representatives are given), then degrees and the evaluation
-    (``saito_constant``)."""
-    failure = membership_failure(factors, matrix, m, generators, representatives)
-    if failure is not None:
-        witness = {"condition": "membership", **membership_witness(factors, failure)}
-        return Certificate(failure, None, witness)
+def certify(matrix: Matrix, system, m: int) -> Certificate:
+    """Saito's criterion for P = matrix over a catalog entry: membership,
+    then degrees and the evaluation (``saito_constant``).
+
+    Membership is decided on the first factor of each of
+    system.factor_orbits once ``equivariant`` proves the law below for
+    each of system.signed_generators.  If the proof or any of those
+    factors fails, every factor is scanned (``membership_failure``), so a
+    failure is always the first one and its witness that of the full scan.
+
+    Proof.  Let rho send x_j to s_j x_pi(j), g[p](x) = p(rho^T x) the
+    substitution ``Poly.substitute_linear(rho)``, and let P satisfy g[P] =
+    rho^T P rho (m even) or g[P] = rho^T P (m odd), g applied entrywise.
+    The law passes to products, (rho_1 rho_2)[p] = rho_1[rho_2[p]] and the
+    constant rho_2 commutes with rho_1[.], so it holds for every element of
+    the group; as rho^T = rho^{-1}, g[alpha] = alpha o g^{-1} is the usual
+    action g alpha on linear forms.  For alpha = c . x the row of
+    theta_j(alpha) is c^T P, and g[alpha] = (rho c) . x.  As g fixes
+    constants, g[c^T P] = c^T g[P], which is (rho c)^T P rho or (rho c)^T
+    P: the row of theta_j(g[alpha]) is g[c^T P] rho^{-1} (m even) or
+    g[c^T P] (m odd).  g is a ring automorphism, so alpha^m |
+    theta_j(alpha) for every j gives g[alpha]^m | g[theta_j(alpha)], and
+    g[alpha]^m divides each constant combination of these, each
+    theta_j(g[alpha]).  So membership along alpha gives membership along g
+    alpha for every g, g^{-1} alpha among them: along the whole orbit.  The
+    generators permute the factors up to units (Q is anti-invariant, which
+    the catalog checks), so the orbit of a factor is factors up to units.
+    A factor q of degree > 1 stands for its mirror lines, alpha a root form
+    over C: g maps the lines of q onto those of the factor g[q], and the
+    argument runs line by line.
+    """
+    factors = system.factors
+    representatives = (orbit[0] for orbit in system.factor_orbits)
+    if m and (not equivariant(matrix, m, system.signed_generators)
+              or any(_failures(factors, representatives, matrix, m))):
+        failure = membership_failure(factors, matrix, m)
+        if failure is not None:
+            witness = {"condition": "membership", **membership_witness(factors, failure)}
+            return Certificate(failure, None, witness)
     return Certificate(None, *saito_constant(matrix, factors, m))

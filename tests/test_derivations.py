@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from oracles import b_by_definition, doubled_entry, p_step_in_full, perturb_p_memo
 
-from multider import golden
+from multider import cli, coxeter, golden
 from multider.coxeter import catalog_entries, get_system, symmetric_polys
 from multider import derivations
 from multider.derivations import (
@@ -407,10 +407,14 @@ def test_orbit_fill_carries_the_signs_of_the_element(monkeypatch):
     # and row 1 from row 0 with sign -1, so the fill must carry them
     s = get_system("B2")
     clear_caches()
-    monkeypatch.setitem(derivations._cache, ("_signed_generators", "B2"), (((1, -1), (0, 1)),))
-    signs = {sign for parity in (0, 1)
-             for _, fills in derivations._transversal(s, parity) for _, _, sign in fills}
+    rotation = ((1, -1), (0, 1))
+    transversals = tuple(coxeter._transversal(2, (rotation,), parity) for parity in (0, 1))
+    signs = {sign for transversal in transversals
+             for _, fills in transversal for _, _, sign in fills}
     assert signs == {1, -1}
+    # the rotation keeps the factor orbits {x1, x2} and {x1 - x2, x1 + x2}
+    monkeypatch.setattr(s, "signed_generators", (rotation,))
+    monkeypatch.setattr(s, "transversals", transversals)
     for m in range(1, 5):
         assert p_matrix(s, m).matrix == p_step_in_full(s, m), m
     assert saito_certificate(s, p_matrix(s, 4)).witness is None
@@ -443,7 +447,7 @@ def _orbits_by_union(system):
 @pytest.mark.parametrize("key", [s.key for s in catalog_entries()])
 def test_factor_orbits_partition_the_factors(key):
     s = get_system(key)
-    orbits = derivations._factor_orbits(s)
+    orbits = s.factor_orbits
     assert sorted(i for orbit in orbits for i in orbit) == list(range(len(s.factors)))
     assert sorted(orbits) == _orbits_by_union(s)
     # A: the x_i - x_j and the wide forms; B: the x_i and the x_i +- x_j;
@@ -451,6 +455,23 @@ def test_factor_orbits_partition_the_factors(key):
     expected = {"A": 2, "B": 2, "D": 1}.get(s.family)
     if expected is not None and s.rank >= 2:
         assert len(orbits) == expected
+
+
+def test_a_catalog_entry_builds_its_orbit_data_once(monkeypatch, capsys):
+    # the factor orbits and the transversals are fields of the entry, so a
+    # cold request after clear_caches searches no orbit again
+    for key in ("B4", "B2"):
+        get_system(key)
+
+    def search(*args):
+        raise AssertionError("an orbit search after the entry was built")
+
+    monkeypatch.setattr(coxeter, "_orbits", search)
+    monkeypatch.setattr(coxeter, "_transversal", search)
+    for argv in (["basis", "B4", "--m", "3"], ["verify", "B2", "--m", "3"]):
+        clear_caches()
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_recursive_odd_rule():
