@@ -229,15 +229,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bmatrix(args) -> int:
-    """B^(k) has one construction; "definition" and "both" certify it by
-    the direct formulas C(1), ..., C(k), which prove the definition equal
-    to it (``derivations.b_matrix``)."""
+    """B^(k) has one construction, from B^(1), which the direct formula
+    C(1) certifies on every route; "definition" and "both" certify C(2),
+    ..., C(k) too, which prove the definition equal to it
+    (``derivations.b_matrix``)."""
     system = _load_system(args, k=args.k)
     routes = ("definition", "closed_form") if args.route == "both" else (
         args.route.replace("-", "_"),
     )
-    if "definition" in routes:
-        certify_direct_formulas(system, args.k)
+    certify_direct_formulas(system, args.k if "definition" in routes else 1)
     mat = b_matrix(system, args.k)
     if args.format == "json":
         records = _matrix_records(mat)

@@ -3,9 +3,10 @@
 Given a catalog system with basic invariants f_1, ..., f_l (degrees
 ascending) the primitive derivation D is the derivation of the fraction
 field with D f_i = 0 for i < l and D f_l = 1.  Its coordinate vector
-(D x_1, ..., D x_l) is the bottom row of J(f)^{-1} (``jf_inverse``,
-memoised), and iterating D on the coordinates produces the rational vectors
-D^k x whose poles lie along the arrangement only.  Every application of D
+(D x_1, ..., D x_l) is the bottom row of J(f)^{-1}, row l of adj J(f)
+over det J(f) (``primitive_dx``, memoised), and iterating D on the
+coordinates produces the rational vectors D^k x whose poles lie along the
+arrangement only.  Every application of D
 (``apply_derivation``) is one sum over a common denominator
 (``derivation_pair``), reduced once.
 
@@ -30,19 +31,23 @@ From these the module constructs:
 
 * ``certify_direct_formula``: the direct formula C(k): P_{2k} J(D^k x) =
   Gram, from C(k - 1) by D[P_{2k-1}] C_{2k} = -P_{2k-2}, with no D^k x
-  formed; odd m follows, Gram J(D^k x)^{-1} J(f) = P_{2k} J(f).  Building
-  P_2 certifies C(1), since it reads the D[P_1] that B^(1) is built from
-  and so guards B^(1).  C(k) for k >= 2 is certified where it is read
+  formed; odd m follows, Gram J(D^k x)^{-1} J(f) = P_{2k} J(f).  C(1)
+  holds exactly when B^(1) = J(f)^T D[P_1], so it is the certificate of
+  B^(1): building P_2 certifies it, and so does every route of
+  ``bmatrix``.  C(k) for k >= 2 is certified where it is read
   (``certify_direct_formulas``): by ``verify``, ``jdkx_det_constant`` and
   the definition route of ``bmatrix``.
 
 * ``jdkx_inverse`` = Gram^{-1} P_{2k} and ``jdkx_det_constant`` = det Gram
   / (det P_{2k} / Q^(2k)) = det J(D^k x) Q^(2k), consequences of C(k).
 
-* ``b_matrix``: B^(k) = -J(f)^T Gram J(D^k x) J(D^{k-1} x)^{-1} J(f), as
-  J(f)^T D[P_1] for k = 1 (D f = e_l proves it equal to the definition; the
-  certificate of C(1) reads the same D[P_1]) and by the closed form
-  k*B^(1) + (k-1)*B^(1)^T for k >= 2; C(k - 1) and C(k) prove the two equal.
+* ``b_matrix``: B^(k) = -J(f)^T Gram J(D^k x) J(D^{k-1} x)^{-1} J(f).
+  B^(1) = J(f)^T D[P_1] (D f = e_l proves it equal to the definition) is
+  interpolated in f_1, ..., f_{l-1} from its values at a few integer
+  points, with no product over fractions; it is invariant of degree < h,
+  so it lies in their span, and C(1) certifies it.  For k >= 2 B^(k) is
+  the closed form k*B^(1) + (k-1)*B^(1)^T; C(k - 1) and C(k) prove the
+  two equal.
 
 Every step that the theory promises to be polynomial is asserted to be so;
 a failed assertion raises PipelineError, which always indicates a bug (in
@@ -60,6 +65,8 @@ perturbed or doctored input never reads another's record.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -71,14 +78,18 @@ from .exactpoly import (
     ArrFrac,
     Matrix,
     Poly,
+    adjugate_row,
     mat_det_adj,
     pairs_equal,
     product_pair,
+    product_at,
     rat_det,
     rat_mat_inv,
+    rat_mat_mul,
     sum_pairs,
+    values_at,
 )
-from .saito import Certificate, certify
+from .saito import Certificate, certify, prime_windows
 
 __all__ = [
     "PipelineError",
@@ -163,10 +174,9 @@ def jacobian(entries) -> Matrix:
 def jf_inverse(system: CoxeterSystem) -> tuple[tuple[_Pair, ...], ...]:
     """J(f)^{-1} = adj J(f) / (c Q) unreduced, as (numerator, denominator
     exponents) pairs, with det J(f) = c Q certified when the catalog entry
-    was built; computed once per system.  A caller reduces only the
-    entries it reads: ``primitive_dx`` the last row.  The memo is read-only:
-    rows are tuples, and every pair holds one read-only copy of Q's
-    factor map."""
+    was built; computed once per system for its one reader, the jdg(f)
+    records of ``verify``.  The memo is read-only: rows are tuples, and
+    every pair holds one read-only copy of Q's factor map."""
     _, adj = mat_det_adj(system.jacobian_of_invariants())
     inv_c = 1 / system.det_jf_constant
     den = MappingProxyType(dict(system.q_factor_map))
@@ -175,13 +185,17 @@ def jf_inverse(system: CoxeterSystem) -> tuple[tuple[_Pair, ...], ...]:
 
 @_memoised
 def primitive_dx(system: CoxeterSystem) -> tuple[ArrFrac, ...]:
-    """Coordinates of the primitive derivation: the bottom row of J(f)^{-1}.
+    """Coordinates of the primitive derivation: the bottom row of J(f)^{-1},
+    that is, row l of adj J(f) (the l cofactors on the columns of f_1, ...,
+    f_{l-1}, ``exactpoly.adjugate_row``) over det J(f) = c Q.
 
     Certified on construction by applying the resulting derivation to every
     basic invariant and checking D f_i = 0 (i < l), D f_l = 1.
     """
     ell = system.rank
-    dx = tuple(ArrFrac(*pair) for pair in jf_inverse(system)[ell - 1])
+    inv_c = 1 / system.det_jf_constant
+    row = adjugate_row(system.jacobian_of_invariants(), ell - 1)
+    dx = tuple(ArrFrac(p * inv_c, system.q_factor_map) for p in row)
     for i, f in enumerate(system.invariants):
         expect = Fraction(int(i == ell - 1))
         got = apply_derivation(f, dx)
@@ -283,8 +297,9 @@ def p_matrix(system: CoxeterSystem, m: int) -> DerivationBasis:
     even step seeds the product record of ``certify_direct_formula`` with
     the P_{2k}, P_{2k-1} and C_{2k} it multiplied, so that the memoised
     P_{2k} is not formed again as that product.  Only
-    P_2 certifies its direct formula C(1) here: the certificate reads the
-    D[P_1] that B^(1) is built from, so a wrong B^(1) raises PipelineError.
+    P_2 certifies its direct formula C(1) here: it holds exactly when the
+    interpolated B^(1) is J(f)^T D[P_1] (``b_matrix``), so a wrong B^(1)
+    raises PipelineError.
     C(k) for k >= 2 is certified by the code that reads it.
 
     The fill law.  Let rho be a stored generator that is a signed
@@ -410,10 +425,11 @@ def certify_direct_formula(system: CoxeterSystem, k: int, p_even: Matrix) -> Non
     (P_{2k}, P_{2k-1}, C_{2k}), which ``p_matrix`` seeds when it builds
     P_{2k} (exact by its fill law once the identity holds).  So a doctored
     P_{2k} or C_{2k} fails, and the memoised P_{2k} costs no product and,
-    once certified, no identity.  At k = 1 it reads
-    the D[P_1] that B^(1) = J(f)^T D[P_1] was built from (``_d_p1``); the
-    identity then holds exactly when C_2 = -(B^(1))^{-1} P_1^T for that
-    B^(1), so a memoised B^(1) with a sign slip or a wrong entry fails it.
+    once certified, no identity.  At k = 1 it reads D[P_1] (``_d_p1``),
+    and C_2 = -(B^(1))^{-1} P_1^T; the identity then holds exactly when
+    B^(1) = J(f)^T D[P_1] (proof at ``b_matrix``), so it certifies the
+    B^(1) that ``b_matrix`` interpolated, and a memoised B^(1) with a sign
+    slip or a wrong entry fails it.
     The caller certifies C(k - 1) first (``certify_direct_formulas``).
     """
     step = step_matrix(system, 2 * k)
@@ -454,10 +470,10 @@ def certify_direct_formulas(system: CoxeterSystem, top: int) -> None:
 
 def _d_p1(system: CoxeterSystem, p1: Matrix, dx: tuple[ArrFrac, ...]) -> Matrix:
     """D[P_1], D (coordinates dx) applied entrywise to P_1 = Gram J(f),
-    each entry reduced once (``apply_derivation``).  B^(1) and the
-    certificate of C(1) both read it.  It is a record on (P_1, D x)
-    (``_recorded``), formed again when either is another object, so a
-    perturbed memo never serves a later caller."""
+    each entry reduced once (``apply_derivation``).  The interpolation of
+    B^(1) reads its values and the certificate of C(1) its entries.  It is
+    a record on (P_1, D x) (``_recorded``), formed again when either is
+    another object, so a perturbed memo never serves a later caller."""
     return _recorded(("d_p1", system.key), (p1, dx),
                      lambda: p1.map(lambda e: apply_derivation(e, dx)))
 
@@ -490,23 +506,56 @@ def jdkx_det_constant(system: CoxeterSystem, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+# candidate points that the interpolation of B^(1) tries before it gives up
+_MAX_CANDIDATES = 64
+
+
 @_memoised
 def b_matrix(system: CoxeterSystem, k: int) -> Matrix:
     """The invariant matrix B^(k) over Poly, entry (i, j) of degree
-    m_i + m_j - h: B^(1) = J(f)^T D[P_1], and B^(k) = k B^(1) +
-    (k-1) B^(1)^T for k >= 2.
+    m_i + m_j - h: B^(1) = J(f)^T D[P_1], interpolated in f_1, ...,
+    f_{l-1} (``_interpolate_b1``), and B^(k) = k B^(1) + (k-1) B^(1)^T for
+    k >= 2.  C(1) proves B^(1) equal to J(f)^T D[P_1] (below), and the
+    readers certify it: ``p_matrix`` at P_2, every route of ``bmatrix``
+    and the b-properties of ``verify``.
 
-    B^(1) is the definition -J(f)^T Gram J(D x) J(f), with no J(D x)
-    formed.  ``primitive_dx`` certifies D f_j = delta_{jl}; its derivative
-    by x_a is
+    J(f)^T D[P_1] is the definition -J(f)^T Gram J(D x) J(f), with no
+    J(D x) formed.  ``primitive_dx`` certifies D f_j = delta_{jl}; its
+    derivative by x_a is
 
         sum_c d_a(D x_c) d_c f_j + sum_c D x_c d_c d_a f_j = 0,
 
     that is, J(D x) J(f) + D[J(f)] = 0.  Gram is constant, so D[P_1] =
     Gram D[J(f)] = -Gram J(D x) J(f), and -J(f)^T Gram J(D x) J(f) =
-    J(f)^T D[P_1].  D[P_1] is the one ``_d_p1`` records for the certificate
-    of C(1); the product is one over fractions, and an entry that keeps a
-    denominator raises PipelineError.
+    J(f)^T D[P_1].
+
+    Invariance.  For g in W with matrix rho, g[p](x) = p(rho^T x), the
+    derivation g D g^{-1} sends f_i to g[D f_i] = delta_{il}, as every f_i
+    is invariant; a derivation of the fraction field is fixed by its values
+    on f_1, ..., f_l, over which the field is algebraic, so g[D[p]] =
+    D[g[p]].  Differentiating f(rho^T x) = f(x) gives g[J(f)] = rho^{-1}
+    J(f), and with rho^T Gram rho = Gram, g[P_1] = rho^T P_1.  So g[D[P_1]]
+    = rho^T D[P_1] and g[J(f)^T D[P_1]] = J(f)^T rho^{-T} rho^T D[P_1] =
+    J(f)^T D[P_1]: every entry is invariant.
+
+    Degree and span.  D x_j is a cofactor of J(f) of degree |A| - m_l over
+    c Q, of degree 1 - h, so D lowers degrees by h, and entry (i, j) is
+    homogeneous of degree d = m_i + m_j - h <= 2 (h - 1) - h < h.  It is a
+    polynomial: its denominator divides Q, and Q times it is anti-invariant
+    (g[Q] = det(rho) Q, which the catalog checks), so it vanishes on the
+    mirror of every reflection, which the reflection fixes pointwise, and
+    is divisible by Q.  By Chevalley's theorem the invariants
+    are the polynomials in f_1, ..., f_l, and deg f_l = h > d, so the entry
+    is sum_alpha c_alpha f^alpha over the monomials in f_1, ..., f_{l-1} of
+    weighted degree d: zero when d < 0 or there is none, at most five
+    unknowns on the catalog (B5, d = 8).
+
+    The certificate.  C(1), D[P_1] C_2 = -Gram with C_2 = -B^{-1} P_1^T
+    (``certify_direct_formula``), reads D[P_1] C_2 = -Gram as D[P_1] =
+    Gram (P_1^T)^{-1} B, that is B = P_1^T Gram^{-1} D[P_1] = J(f)^T D[P_1]
+    (Gram symmetric; P_1, Gram and B are invertible).  So C(1) holds
+    exactly when B is J(f)^T D[P_1], and an interpolated B^(1) that is
+    wrong for any reason fails it.
 
     The definition B_def^(k) = -J(f)^T Gram J(D^k x) J(D^(k-1) x)^{-1} J(f)
     is not computed for k >= 2; the certificates of C(k - 1) and C(k)
@@ -527,12 +576,94 @@ def b_matrix(system: CoxeterSystem, k: int) -> Matrix:
     if k < 1:
         raise ValueError("k must be at least 1")
     if k == 1:
-        d_p = _d_p1(system, p_matrix(system, 1).matrix, primitive_dx(system))
-        work = system.jacobian_of_invariants().transpose() @ d_p
-        for i, j, e in work.entries():
-            if not e.is_polynomial():
-                raise PipelineError(f"{system.key}: entry ({i + 1},{j + 1}) of "
-                                    f"B^(1) did not clear its denominator: {e}")
-        return work.map(lambda e: e.as_poly())
+        return _interpolate_b1(system)
     b1 = b_matrix(system, 1)
     return b1.map(lambda p: p * k) + b1.transpose().map(lambda p: p * (k - 1))
+
+
+def _interpolate_b1(system: CoxeterSystem) -> Matrix:
+    """B^(1) from its values J(f)(p)^T D[P_1](p) at the points of
+    ``_interpolation_points``: an entry of degree d with n_d monomials is
+    sum_alpha c_alpha f^alpha, c = V_d^{-1} y, y its values at the first n_d
+    points and V_d the values of the monomials there."""
+    ell, exps, lower = system.rank, system.exponents, system.invariants[:-1]
+    cells: dict[int, list[tuple[int, int]]] = {}
+    for i in range(ell):
+        for j in range(ell):
+            cells.setdefault(exps[i] + exps[j] - system.h, []).append((i, j))
+    widths = tuple(f.degree() for f in lower)
+    monomials = {d: basis for d in cells if d >= 0 and (basis := _weighted_exponents(widths, d))}
+    points, rows = _interpolation_points(system, lower, monomials)
+    d_p = _d_p1(system, p_matrix(system, 1).matrix, primitive_dx(system))
+    jf = step_matrix(system, 1)  # J(f), memoised as C_1 with P_1
+    values: dict[tuple[int, int], list[Fraction]] = {}
+    for r, point in enumerate(points):
+        wanted = [cell for d, basis in monomials.items() if len(basis) > r for cell in cells[d]]
+        live = sorted({j for _, j in wanted})
+        jf_at, dp_at = (_columns_at(m, live, point) for m in (jf, d_p))
+        for i, j in wanted:
+            values.setdefault((i, j), []).append(sum(map(operator.mul, jf_at[i], dp_at[j])))
+    powers: dict[tuple[int, int], Poly] = {}
+    result = [[Poly.zero(ell)] * ell for _ in range(ell)]
+    for d, basis in monomials.items():
+        v = [row[d] for row in rows[:len(basis)]]
+        inverse = rat_mat_inv(v) if len(v) > 1 else ((1 / Fraction(v[0][0]),),)
+        for i, j in cells[d]:
+            for alpha, weights in zip(basis, inverse):
+                c = sum(map(operator.mul, weights, values[i, j]))
+                if c:
+                    term = Poly.const(ell, c)
+                    for t, a in enumerate(alpha):
+                        if a:
+                            if (t, a) not in powers:
+                                powers[t, a] = lower[t] ** a
+                            term = term * powers[t, a]
+                    result[i][j] = result[i][j] + term
+    return Matrix(result)
+
+
+def _columns_at(matrix: Matrix, columns, point) -> dict[int, list[Fraction]]:
+    """The values of the given columns of matrix at point, by column."""
+    n = matrix.rows
+    at = values_at([matrix[t][j] for j in columns for t in range(n)], point)
+    return {j: at[c * n:(c + 1) * n] for c, j in enumerate(columns)}
+
+
+def _weighted_exponents(widths: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
+    """The exponent vectors alpha with sum_t alpha_t widths[t] = d."""
+    if not widths:
+        return [()] if d == 0 else []
+    head, rest = widths[0], widths[1:]
+    return [(a, *alpha) for a in range(d // head + 1)
+            for alpha in _weighted_exponents(rest, d - a * head)]
+
+
+def _interpolation_points(system: CoxeterSystem, lower, monomials):
+    """The points of the interpolation of B^(1) and the rows of V_d there:
+    the first candidates (``saito.prime_windows``) off every mirror at which
+    each degree with monomials left to fill keeps independent rows, as
+    many as the largest degree has monomials.  A candidate on a mirror, or
+    one that would make some V_d singular, is skipped; PipelineError when
+    ``_MAX_CANDIDATES`` candidates do not suffice."""
+    need = max(map(len, monomials.values()))
+    points, rows = [], []
+    for point in itertools.islice(prime_windows(system.rank), _MAX_CANDIDATES):
+        if not product_at(system.factors, point):
+            continue
+        f_at = values_at(lower, point)
+        row = {d: [math.prod(v**a for v, a in zip(f_at, alpha) if a) for alpha in basis]
+               for d, basis in monomials.items() if len(basis) > len(rows)}
+        if all(_independent([r[d] for r in rows] + [new]) for d, new in row.items()):
+            points.append(point)
+            rows.append(row)
+            if len(points) == need:
+                return points, rows
+    raise PipelineError(f"{system.key}: no nonsingular interpolation of B^(1) in the "
+                        f"first {_MAX_CANDIDATES} candidate points")
+
+
+def _independent(rows) -> bool:
+    """Whether the rational rows are linearly independent: det(R R^T) != 0."""
+    if len(rows) == 1:
+        return any(rows[0])
+    return bool(rat_det(rat_mat_mul(rows, tuple(zip(*rows)))))

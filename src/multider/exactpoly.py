@@ -75,6 +75,7 @@ __all__ = [
     "sum_pairs",
     "pairs_equal",
     "mat_det_adj",
+    "adjugate_row",
     "poly_to_records",
     "poly_to_json",
     "poly_from_records",
@@ -83,6 +84,7 @@ __all__ = [
     "rat_det",
     "det_at",
     "product_at",
+    "values_at",
     "binary_components",
     "signed_permutation",
 ]
@@ -1381,17 +1383,27 @@ def mat_det_adj(matrix: Matrix) -> tuple[Poly, Matrix]:
     n = matrix.rows
     minor = _minor_table(matrix)
     full = (1 << n) - 1
-    det = minor(full, full)
+    return minor(full, full), Matrix([_cofactors(matrix, minor, i) for i in range(n)])
+
+
+def adjugate_row(matrix: Matrix, i: int) -> list[Poly]:
+    """Row i of adj M for a square polynomial matrix M: the n cofactors on
+    the columns of M other than i, by the minors of ``mat_det_adj``."""
+    return _cofactors(matrix, _minor_table(matrix), i)
+
+
+def _cofactors(matrix: Matrix, minor, i: int) -> list[Poly]:
+    """Row i of adj M from the minor table of M: (-1)^(i+j) times the minor
+    on the rows other than j and the columns other than i."""
+    n = matrix.rows
     if n == 1:
-        return det, Matrix([[Poly.const(det.nvars, 1)]])
-    adj_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            sub = minor(full ^ (1 << j), full ^ (1 << i))
-            row.append(-sub if (i + j) & 1 else sub)
-        adj_rows.append(row)
-    return det, Matrix(adj_rows)
+        return [Poly.const(matrix[0][0].nvars, 1)]
+    full = (1 << n) - 1
+    row = []
+    for j in range(n):
+        sub = minor(full ^ (1 << j), full ^ (1 << i))
+        row.append(-sub if (i + j) & 1 else sub)
+    return row
 
 
 def _minor_table(matrix: Matrix):
@@ -1504,6 +1516,27 @@ def product_at(polys: Iterable[Poly], point: Sequence[int]) -> Fraction:
         num *= _numerator_at(p, powers, point)
         den *= p._d
     return Fraction(num, den)
+
+
+def values_at(entries: Iterable["Poly | ArrFrac"], point: Sequence[int]) -> list[Fraction]:
+    """The values of polynomials or fractions at an integer point off every
+    pole, on the integer form, with one table of the powers of the point
+    and each denominator factor evaluated once."""
+    powers = [[1] for _ in point]
+    at: dict[Poly, int] = {}
+    values = []
+    for e in entries:
+        if isinstance(e, Poly):
+            values.append(Fraction(_numerator_at(e, powers, point), e._d))
+            continue
+        num, den = _numerator_at(e.num, powers, point), e.num._d
+        for f, k in e.den.items():
+            if f not in at:
+                at[f] = _numerator_at(f, powers, point)
+            num *= f._d**k
+            den *= at[f] ** k
+        values.append(Fraction(num, den))
+    return values
 
 
 def det_at(matrix: Matrix, point: Sequence[int]) -> Fraction:

@@ -26,6 +26,7 @@ form of each polynomial (``exactpoly.product_at``, ``exactpoly.det_at``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -47,6 +48,7 @@ __all__ = [
     "evaluation_point",
     "membership_failure",
     "membership_witness",
+    "prime_windows",
     "saito_constant",
 ]
 
@@ -170,25 +172,29 @@ def _divides(q: list[int], r: list[int]) -> bool:
     return not any(r)
 
 
-def _primes():
+def prime_windows(nvars: int):
+    """The windows (p_s, ..., p_{s+nvars-1}) of nvars consecutive primes
+    2, 3, 5, ..., for s = 0, 1, 2, ...: the deterministic integer points
+    that evaluations take."""
+    primes = []
     n = 2
     while True:
         if all(n % d for d in range(2, math.isqrt(n) + 1)):
-            yield n
+            primes.append(n)
+            if len(primes) >= nvars:
+                yield tuple(primes[-nvars:])
         n += 1
 
 
 @functools.lru_cache(maxsize=64)
 def evaluation_point(nvars: int, factors: tuple[Poly, ...]) -> tuple[tuple[int, ...], Fraction]:
-    """The first window of nvars consecutive primes on which no factor
-    vanishes, and the value there of the product of the factors."""
-    primes = _primes()
-    window = [next(primes) for _ in range(nvars)]
-    for _ in range(64):
+    """The first of the first 64 windows of nvars consecutive primes on
+    which no factor vanishes, and the value there of the product of the
+    factors."""
+    for window in itertools.islice(prime_windows(nvars), 64):
         q_value = product_at(factors, window)
         if q_value:
-            return tuple(window), q_value
-        window = window[1:] + [next(primes)]
+            return window, q_value
     raise ValueError("no window of 64 consecutive primes avoids every factor")
 
 

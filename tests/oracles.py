@@ -6,6 +6,10 @@ chain of four products over fractions.  The package builds B^(k) for
 k >= 2 by the closed form and certifies the definition through the
 product identities of P_m; the tests compare the two.
 
+``b1_by_product`` is B^(1) = J(f)^T D[P_1] as one product over fractions,
+which the package built before it interpolated B^(1) in the basic
+invariants; the tests compare the two.
+
 ``jdg_ii_in_full`` and ``jdg_iv_in_full`` are the ``jdg`` identities ii
 and iv with both sides formed and compared: D applied to J(g)^{-1} (and to
 J(g)^{-1} J(f)) against the product on the right.  The package checks ii as
@@ -75,6 +79,16 @@ def b_by_definition(system, k: int) -> Matrix:
                     f"clear its denominator: {work[i][j]}"
                 )
     return Matrix([[-work[i][j].as_poly() for j in range(ell)] for i in range(ell)])
+
+
+def b1_by_product(system) -> Matrix:
+    """B^(1) = J(f)^T D[P_1], formed over fractions and reduced; an entry
+    that keeps a denominator fails."""
+    dx = primitive_dx(system)
+    d_p = derivations.p_matrix(system, 1).matrix.map(lambda e: apply_derivation(e, dx))
+    work = system.jacobian_of_invariants().transpose() @ d_p
+    assert all(e.is_polynomial() for _, _, e in work.entries()), system.key
+    return work.map(lambda e: e.as_poly())
 
 
 def _level(g_key: str) -> int | None:
@@ -232,7 +246,7 @@ def perturb_jdkx_memo(monkeypatch, system, k: int) -> None:
 
 def perturb_jf_inverse_memo(monkeypatch, system) -> None:
     """Double the numerator of entry (1,1) of the memoised J(f)^{-1}, after
-    the primitive derivation (its last row) has been read from it."""
+    the primitive derivation, its last row formed on its own, is built."""
     derivations.primitive_dx(system)
     rows = derivations.jf_inverse(system)
     (num, den), *rest = rows[0]

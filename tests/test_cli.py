@@ -298,7 +298,8 @@ def test_verify_det_jdkx_certifies_its_direct_formula(capsys, monkeypatch):
 
 
 def test_basis_and_bmatrix_form_no_dkx_at_any_k(capsys, monkeypatch):
-    # B^(1) is J(f)^T D[P_1] and the certificate of C(k) reads D[P_{2k-1}]:
+    # B^(1) is interpolated from the values of J(f)^T D[P_1] and the
+    # certificate of C(k) reads D[P_{2k-1}]:
     # cold requests form the primitive derivation D x and neither D^k x nor
     # J(D^k x) at any k >= 1
     def broken(name):
@@ -336,12 +337,15 @@ def test_verify_forms_dkx_only_to_k_2(capsys, monkeypatch):
 
 @pytest.mark.parametrize("doctor", ["negated", "doubled"])
 @pytest.mark.parametrize("argv", [["basis", "B3", "--m", "2"],
-                                  ["bmatrix", "B2", "--k", "1", "--route", "definition"]])
+                                  ["bmatrix", "B2", "--k", "1", "--route", "definition"],
+                                  ["bmatrix", "B2", "--k", "1", "--route", "closed-form"],
+                                  ["bmatrix", "B2", "--k", "2", "--route", "closed-form"]])
 def test_doctored_b1_fails_the_certificate_of_c1(capsys, monkeypatch, doctor, argv):
     # negative control: C_2 is the inverse of the memoised B^(1), and the
-    # certificate of C(1) multiplies it by the D[P_1] that B^(1) must be
-    # built from, so a B^(1) with a sign slip or a doubled antidiagonal
-    # entry (its entry (1,1) is zero) fails at an entry of D[P_1] C_2
+    # certificate of C(1), which every route of bmatrix runs, multiplies it
+    # by D[P_1]; it holds only for B^(1) = J(f)^T D[P_1], so a B^(1) with a
+    # sign slip or a doubled antidiagonal entry (its entry (1,1) is zero)
+    # fails at an entry of D[P_1] C_2
     clear_caches()
     s = get_system(argv[1])
     b1 = derivations.b_matrix(s, 1)
@@ -356,6 +360,21 @@ def test_doctored_b1_fails_the_certificate_of_c1(capsys, monkeypatch, doctor, ar
     assert code == 1 and out == ""
     assert re.match(rf"internal error: {argv[1]}: entry \(\d,\d\) of D\[P_1\] C_2 is ", err), err
     # the C_2 inverted from the doctored B^(1) is memoised
+    clear_caches()
+
+
+def test_cold_basis_and_bmatrix_need_no_inverse_of_jf(capsys, monkeypatch):
+    # the primitive derivation is the last row of adj J(f) over c Q, formed
+    # alone; only the jdg(f) records of verify read the whole J(f)^{-1}
+    def broken(system):
+        raise AssertionError("J(f)^{-1} was computed")
+
+    monkeypatch.setattr(derivations, "jf_inverse", broken)
+    for argv in (["basis", "B4", "--m", "3"],
+                 ["bmatrix", "A3", "--k", "1", "--route", "closed-form"]):
+        clear_caches()
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "") and out, argv
     clear_caches()
 
 

@@ -8,7 +8,13 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from oracles import b_by_definition, doubled_entry, p_step_in_full, perturb_p_memo
+from oracles import (
+    b1_by_product,
+    b_by_definition,
+    doubled_entry,
+    p_step_in_full,
+    perturb_p_memo,
+)
 
 from multider import cli, coxeter, golden
 from multider.coxeter import catalog_entries, get_system, symmetric_polys
@@ -514,9 +520,68 @@ def test_b_routes_agree():
 
 @pytest.mark.parametrize("s", catalog_entries(max_rank=4), ids=lambda s: s.key)
 def test_b1_equals_the_definition(s):
-    # oracle: J(f)^T D[P_1] against the definition -J(f)^T Gram J(D x) J(f),
-    # formed in full over fractions
+    # oracle: the interpolated B^(1) against the definition -J(f)^T Gram
+    # J(D x) J(f), formed in full over fractions
     assert b_matrix(s, 1) == b_by_definition(s, 1)
+
+
+@pytest.mark.parametrize("s", catalog_entries(max_rank=4) + [get_system(k) for k in ("B5", "D5")],
+                         ids=lambda s: s.key)
+def test_b1_interpolation_equals_the_product(s):
+    # oracle: the product J(f)^T D[P_1] over fractions that the
+    # interpolation in f_1, ..., f_{l-1} replaced (A5 is left to the CI
+    # digest of bmatrix A5 --k 1: its product takes about a second)
+    clear_caches()
+    assert b_matrix(s, 1) == b1_by_product(s)
+    clear_caches()
+
+
+# candidates on B3: x1 = x2 is a mirror, and f_1, f_2 have degrees 2 and 4,
+# so the row (f_1^2, f_2) of the two monomials of degree 4 at (4, 6, 10) is
+# 16 times the row at (2, 3, 5)
+_ON_A_MIRROR, _GOOD, _SINGULAR, _NEXT = (1, 1, 2), (2, 3, 5), (4, 6, 10), (3, 5, 7)
+
+
+def test_b1_point_search_skips_mirrors_and_singular_candidates(monkeypatch):
+    # unskipped, the point on a mirror divides by zero in D[P_1] and the
+    # singular one fails the solve of degree 4
+    s = get_system("B3")
+    chosen = []
+    real = derivations._interpolation_points
+
+    def spy(*args):
+        points, rows = real(*args)
+        chosen.extend(points)
+        return points, rows
+
+    clear_caches()
+    monkeypatch.setattr(derivations, "prime_windows",
+                        lambda n: iter([_ON_A_MIRROR, _GOOD, _SINGULAR, _NEXT]))
+    monkeypatch.setattr(derivations, "_interpolation_points", spy)
+    assert b_matrix(s, 1) == b1_by_product(s)
+    assert chosen == [_GOOD, _NEXT]
+    clear_caches()
+
+
+def test_b1_point_search_is_bounded(monkeypatch):
+    s = get_system("B3")
+    drawn = []
+
+    def mirrors(n):
+        while len(drawn) < 1000:
+            drawn.append(_ON_A_MIRROR)
+            yield _ON_A_MIRROR
+
+    clear_caches()
+    monkeypatch.setattr(derivations, "prime_windows",
+                        lambda n: iter([_ON_A_MIRROR, _GOOD, _SINGULAR]))
+    with pytest.raises(PipelineError, match="B3: no nonsingular interpolation of B"):
+        b_matrix(s, 1)
+    monkeypatch.setattr(derivations, "prime_windows", mirrors)
+    with pytest.raises(PipelineError, match="in the first 64 candidate points"):
+        b_matrix(s, 1)
+    assert len(drawn) == derivations._MAX_CANDIDATES
+    clear_caches()
 
 
 def test_clear_caches_empties_every_memo():
